@@ -51,25 +51,7 @@ struct SpeedResult
     double simMticksPerSec = 0.0;
     double totalUdpGbps = 0.0;
     std::uint64_t frames = 0;
-
-    /// Op-cache effectiveness over the run (zeros when disabled).
-    std::uint64_t opcacheHits = 0;
-    std::uint64_t opcacheMisses = 0;
-    double opcacheHitRate = 0.0;
 };
-
-void
-readOpcache(const NicController &nic, SpeedResult &r)
-{
-    if (const obs::StatGroup *g = nic.statTree().findGroup("opcache")) {
-        r.opcacheHits = static_cast<std::uint64_t>(g->value("hits"));
-        r.opcacheMisses = static_cast<std::uint64_t>(g->value("misses"));
-        std::uint64_t total = r.opcacheHits + r.opcacheMisses;
-        if (total)
-            r.opcacheHitRate =
-                static_cast<double>(r.opcacheHits) / total;
-    }
-}
 
 SpeedResult
 measure(const SpeedPoint &p, bool quick)
@@ -97,7 +79,6 @@ measure(const SpeedPoint &p, bool quick)
         r.simTicks = nic.eventQueue().curTick();
         r.totalUdpGbps = res.totalUdpGbps;
         r.frames = res.rxFrames;
-        readOpcache(nic, r);
     } else {
         if (p.workload == "imix") {
             // Mixed-size multi-flow duplex: the payload-heavy stress on
@@ -120,7 +101,6 @@ measure(const SpeedPoint &p, bool quick)
         r.simTicks = nic.eventQueue().curTick();
         r.totalUdpGbps = res.totalUdpGbps;
         r.frames = res.txFrames + res.rxFrames;
-        readOpcache(nic, r);
     }
     double wall_s = r.wallMs / 1e3;
     if (wall_s > 0) {
@@ -179,9 +159,6 @@ main(int argc, char **argv)
         m.set("wallMs", r.wallMs);
         m.set("totalUdpGbps", r.totalUdpGbps);
         m.set("frames", r.frames);
-        m.set("opcacheHits", r.opcacheHits);
-        m.set("opcacheMisses", r.opcacheMisses);
-        m.set("opcacheHitRate", r.opcacheHitRate);
         report.addRow(p.name, std::move(cfg), std::move(m));
     }
 

@@ -4,8 +4,8 @@
 # Usage:
 #   tools/check.sh            # full suite
 #   tools/check.sh --quick    # only tests labeled "quick"
-#   tools/check.sh --bench    # sim-speed regression gate + cache
-#                             # equivalence smoke (contract below)
+#   tools/check.sh --bench    # golden-fingerprint suite + sim-speed
+#                             # regression gate (contract below)
 #   tools/check.sh --faults   # build + run the fault-storm soak (the
 #                             # graceful-degradation contracts; nonzero
 #                             # exit on any violation)
@@ -53,9 +53,10 @@
 # informational column.  When the tree is not a git checkout the gate
 # degrades to informational-only output against the committed file.
 #
-# --bench also runs the op-cache equivalence smoke first: the default
-# duplex workload with the firmware op cache forced off vs on must
-# produce bit-identical results (tests/test_opcache_equiv).
+# --bench first runs the golden-fingerprint suite (tests/test_golden):
+# every bench workload shape must still reproduce its committed
+# results, stat-tree and trace fingerprints, so a speed-up is only
+# timed once it is proven to change no simulated behaviour.
 
 set -eu
 
@@ -77,12 +78,11 @@ if [ "${1:-}" = "--bench" ]; then
     cmake -B "$build" -S "$repo" -DTENGIG_SANITIZE="$sanitize" \
         -DTENGIG_TSAN="$tsan"
     cmake --build "$build" -j"$(nproc)" --target sim_speed \
-        --target test_opcache_equiv
+        --target test_golden
 
-    # Equivalence smoke: cache off vs on must be bit-identical on the
-    # default duplex before any throughput number means anything.
-    "$build/tests/test_opcache_equiv" \
-        --gtest_filter='OpCacheEquivalence.DefaultDuplex'
+    # Behaviour first: no throughput number means anything until every
+    # golden fingerprint still matches.
+    "$build/tests/test_golden"
 
     # Wall-clock benches are noisy: take each row's best of three runs
     # on both sides before comparing.
