@@ -25,6 +25,27 @@ baseConfig()
     return cfg;
 }
 
+/**
+ * Run the measured-window lifecycle by hand, reading the frame
+ * generator's refusal count at both window edges.
+ */
+NicResults
+runCountingRefusals(const NicConfig &cfg, std::uint64_t &refused)
+{
+    const Tick warmup = tickPerMs / 2;
+    const Tick window = 2 * tickPerMs;
+    NicController nic(cfg);
+    nic.startRun();
+    nic.eventQueue().runUntil(warmup);
+    nic.beginMeasurement();
+    std::uint64_t before = nic.frameGenerator().framesDropped();
+    nic.eventQueue().runUntil(warmup + window);
+    NicResults r = nic.endMeasurement();
+    refused = nic.frameGenerator().framesDropped() - before;
+    nic.stopRun();
+    return r;
+}
+
 } // namespace
 
 TEST(NicTxPath, DeliversAllFramesInOrderWithIntactPayloads)
@@ -114,4 +135,27 @@ TEST(NicReport, FlatStatsCoverEveryComponent)
     std::ostringstream os;
     r.print(os);
     EXPECT_GT(os.str().size(), 500u);
+}
+
+// Every frame the generator sees refused is also a MAC refusal, so
+// rxDropped is the generator's count alone, over the window only.
+TEST(NicRxDrops, ImixEightFlowsCountsEachRefusalOnceInWindow)
+{
+    NicConfig cfg = baseConfig();
+    cfg.txTraffic = TrafficProfile::imixPoisson(8, 1.0, 0x51);
+    cfg.rxTraffic = TrafficProfile::imixPoisson(8, 1.0, 0x52);
+    std::uint64_t refused = 0;
+    NicResults r = runCountingRefusals(cfg, refused);
+    EXPECT_GT(refused, 0u); // the shape sheds rx: not vacuous
+    EXPECT_EQ(r.rxDropped, refused);
+}
+
+TEST(NicRxDrops, TwoCoreDuplexCountsEachRefusalOnceInWindow)
+{
+    NicConfig cfg = baseConfig();
+    cfg.cores = 2;
+    std::uint64_t refused = 0;
+    NicResults r = runCountingRefusals(cfg, refused);
+    EXPECT_GT(refused, 0u);
+    EXPECT_EQ(r.rxDropped, refused);
 }
