@@ -1,9 +1,36 @@
 #include "overlay.hh"
 
+#include <sys/mman.h>
+
 #include <algorithm>
+#include <cerrno>
 #include <cstring>
 
 namespace tengig {
+
+OverlayMem::Backing::Backing(std::size_t bytes)
+{
+    if (!bytes)
+        return;
+    // Private anonymous pages read as zeros and are allocated on first
+    // write; MAP_NORESERVE keeps untouched capacity out of the commit
+    // charge.
+    void *p = mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                   MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
+    fatal_if(p == MAP_FAILED, "cannot map ", bytes,
+             " bytes of overlay backing: ", std::strerror(errno));
+    // Advisory: on hosts whose transparent huge pages are always on, a
+    // first write would otherwise make a whole 2 MiB page resident.
+    madvise(p, bytes, MADV_NOHUGEPAGE);
+    base = static_cast<std::uint8_t *>(p);
+    len = bytes;
+}
+
+OverlayMem::Backing::~Backing()
+{
+    if (base)
+        munmap(base, len);
+}
 
 std::map<Addr, OverlayMem::PatSpan>::iterator
 OverlayMem::lowerSpan(Addr addr)

@@ -221,6 +221,38 @@ TEST(Overlay, BoundsChecksRejectOverflowingRanges)
     m.readBytes(1016, tmp, 8);
 }
 
+TEST(Overlay, FreshStoreReadsZeroEverywhere)
+{
+    // A HostMemory-sized store: the backing must read as zeros at both
+    // ends and through a raw middle range, without anyone writing it.
+    const std::size_t cap = 64 * 1024 * 1024;
+    OverlayMem m(cap);
+    EXPECT_EQ(m.size(), cap);
+    EXPECT_EQ(readAll(m, 0, 1), std::vector<std::uint8_t>(1, 0));
+    EXPECT_EQ(readAll(m, cap - 1, 1), std::vector<std::uint8_t>(1, 0));
+    const std::size_t mid = cap / 2 - 4096;
+    const std::uint8_t *p = m.raw(mid);
+    for (std::size_t i = 0; i < 3 * 4096; ++i)
+        ASSERT_EQ(p[i], 0u) << "offset " << mid + i;
+    EXPECT_EQ(m.materializations(), 0u);
+}
+
+TEST(Overlay, EmptyStoreRejectsEveryNonEmptyAccess)
+{
+    OverlayMem m(0);
+    OverlayMem other(64);
+    std::uint8_t tmp[4] = {};
+    EXPECT_EQ(m.size(), 0u);
+    EXPECT_THROW(m.readBytes(0, tmp, 1), PanicError);
+    EXPECT_THROW(m.writeBytes(0, tmp, 1), PanicError);
+    EXPECT_THROW(m.bytesFor(0, 1), PanicError);
+    EXPECT_THROW(m.putFrame(0, FrameDesc{0, 0, 0, 64}), PanicError);
+    EXPECT_THROW(m.copyFrom(other, 0, 0, 1), PanicError);
+    EXPECT_THROW(other.copyFrom(m, 0, 0, 1), PanicError);
+    EXPECT_THROW(m.boundsCheck(0, 1, "empty"), PanicError);
+    EXPECT_EQ(m.spanCount(), 0u);
+}
+
 TEST(Overlay, SpanWindowsMustStayInsideTheirFrame)
 {
     OverlayMem m(1024);
