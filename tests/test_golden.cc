@@ -59,11 +59,11 @@ struct Golden
 constexpr Golden goldens[] = {
     {"DefaultDuplex", 0xb1743be696af534bull, 0x5ea64d5193017a6eull,
      0x01114311c4b93b67ull},
-    {"ImixEightFlows", 0x7f7d4ef8c3809f7full, 0xbf043e3b51198164ull,
+    {"ImixEightFlows", 0x7f7d4ef8c3809f7full, 0x827c6624db95a022ull,
      0x4304a537fd6cd4b3ull},
-    {"ImixRmw", 0xa7150c112f6361e3ull, 0x03dcc9d120f791b8ull,
+    {"ImixRmw", 0xa7150c112f6361e3ull, 0xb16bc87e81ed8eb0ull,
      0xea8cbf4badfc6aa6ull},
-    {"TaskLevelDuplex", 0x7d6b2c616cd2f55eull, 0x45e3afcfac007c32ull,
+    {"TaskLevelDuplex", 0x7d6b2c616cd2f55eull, 0xa6588c33735563a1ull,
      0x5547e4f4f5cdad3aull},
     {"VfIsolationStorm", 0x8390311d97b63316ull, 0xd130cf3e6172cd99ull,
      0xd8f646087ac62a64ull},
