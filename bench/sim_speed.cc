@@ -39,7 +39,6 @@ struct SpeedPoint
     double cpuMhz;
     bool taskLevel;
     bool idleSleep;
-    unsigned payloadBytes = 0; //!< explicit duplex payload (0 = default)
 };
 
 struct SpeedResult
@@ -85,9 +84,6 @@ measure(const SpeedPoint &p, bool quick)
             // the zero-copy data path with per-flow validation on top.
             cfg.txTraffic = TrafficProfile::imixPoisson(8, 1.0, 0x51);
             cfg.rxTraffic = TrafficProfile::imixPoisson(8, 1.0, 0x52);
-        } else if (p.payloadBytes) {
-            cfg.txPayloadBytes = p.payloadBytes;
-            cfg.rxPayloadBytes = p.payloadBytes;
         }
         NicController nic(cfg);
         Tick warmup = quick ? tickPerMs / 4 : tickPerMs / 2;
@@ -122,7 +118,6 @@ main(int argc, char **argv)
 
     std::vector<SpeedPoint> points = {
         {"duplex 6c 200MHz (default)", "duplex", 6, 200, false, false},
-        {"duplex 6c 200MHz 1472B", "duplex", 6, 200, false, false, 1472},
         {"imix 6c 200MHz 8 flows", "imix", 6, 200, false, false},
         {"duplex 2c 200MHz", "duplex", 2, 200, false, false},
         {"duplex 6c 200MHz task-level", "duplex", 6, 200, true, false},
@@ -149,8 +144,6 @@ main(int argc, char **argv)
         cfg.set("cpuMhz", p.cpuMhz);
         cfg.set("taskLevelFirmware", p.taskLevel);
         cfg.set("idleSleep", p.idleSleep);
-        if (p.payloadBytes)
-            cfg.set("payloadBytes", p.payloadBytes);
 
         obs::json::Value m = obs::json::Value::object();
         m.set("hostEventsPerSec", r.eventsPerSec);
