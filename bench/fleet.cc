@@ -113,6 +113,10 @@ rowMetrics(const FleetResults &r, double scaling_efficiency)
     m.set("wallSeconds", r.wallSeconds);
     m.set("windows", r.windows);
     m.set("maxConcurrentWorkers", r.maxConcurrentWorkers);
+    m.set("windowSeconds", r.windowSeconds);
+    m.set("exchangeSeconds", r.exchangeSeconds);
+    m.set("computeSeconds", r.computeSeconds);
+    m.set("waitSeconds", r.waitSeconds);
     if (scaling_efficiency > 0)
         m.set("scalingEfficiency", scaling_efficiency);
     m.set("aggTotalUdpGbps", r.aggTotalGbps);

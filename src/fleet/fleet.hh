@@ -87,6 +87,17 @@ struct FleetResults
     unsigned maxConcurrentWorkers = 0;
     /// @}
 
+    /// @name Host wall time per phase (workers = min(threads, nodes))
+    /// @{
+    double windowSeconds = 0.0;   //!< in the parallel window phase
+    double exchangeSeconds = 0.0; //!< in the serial exchange() pass
+    /** Worker time inside node runUntil, summed over workers. */
+    double computeSeconds = 0.0;
+    /** workers x windowSeconds - computeSeconds: window time the
+     *  workers spent handing off, waiting, or idle. */
+    double waitSeconds = 0.0;
+    /// @}
+
     /// @name Fabric fault-domain accounting (whole run; all zero when
     /// chaos is disabled, except the ledger fields marked otherwise)
     /// @{
