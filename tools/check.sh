@@ -13,7 +13,8 @@
 #                             # vnic blast-radius contracts; nonzero
 #                             # exit on any violation)
 #   tools/check.sh --fleet    # fleet smoke: run the fleet unit/
-#                             # determinism suite, then the quick fleet
+#                             # determinism suite and the 2-thread
+#                             # golden fleet ring, then the quick fleet
 #                             # soak (scaling + thread-count
 #                             # determinism contracts; nonzero exit on
 #                             # any violation)
@@ -206,12 +207,15 @@ fi
 if [ "${1:-}" = "--fleet" ]; then
     # Fleet smoke: the unit/determinism suite first (switch model,
     # config validation, bit-identical results across thread counts),
-    # then the quick soak, which asserts the scaling and 1-vs-4-thread
+    # then the golden 2-thread ring (its committed fingerprints), then
+    # the quick soak, which asserts the scaling and 1-vs-4-thread
     # determinism contracts itself and exits nonzero on any violation.
     cmake -B "$build" -S "$repo" -DTENGIG_SANITIZE="$sanitize" \
         -DTENGIG_TSAN="$tsan"
-    cmake --build "$build" -j"$(nproc)" --target test_fleet --target fleet
+    cmake --build "$build" -j"$(nproc)" --target test_fleet \
+        --target test_golden --target fleet
     "$build/tests/test_fleet"
+    "$build/tests/test_golden" --gtest_filter=Golden.FleetRing
     exec "$build/bench/fleet" --quick "--json=$build/BENCH_fleet.smoke.json"
 fi
 
