@@ -71,6 +71,8 @@ constexpr Golden goldens[] = {
      0x43a4f012ca9a9933ull},
     {"FleetRing", 0x1222d16764a8d935ull, 0xb1c9e1422ff8feafull,
      0x95d8032d54da1bb8ull},
+    {"QuietReceive", 0x46f460a0e7e04477ull, 0xe9d6e3b1bb7ee542ull,
+     0x109f6925e21e99d8ull},
 };
 
 const Golden &
@@ -211,17 +213,27 @@ expectGolden(const std::string &shape, const char *third,
 constexpr Tick warmupTicks = tickPerMs / 4;
 constexpr Tick windowTicks = tickPerMs / 2;
 
+/** Build @p cfg, attach a trace, and fingerprint what @p run returns. */
+template <typename Run>
 void
-runShape(const std::string &shape, const NicConfig &cfg)
+runShape(const std::string &shape, const NicConfig &cfg, Run run)
 {
     NicController nic(cfg);
     obs::TraceLog log;
     nic.attachTrace(log);
-    NicResults r = nic.run(warmupTicks, windowTicks);
+    NicResults r = run(nic);
     Fnv res;
     hashResults(res, r);
     expectGolden(shape, "trace", res.value(),
                  nic.statTree().toJson().dump(2), fnvText(log.str()));
+}
+
+void
+runShape(const std::string &shape, const NicConfig &cfg)
+{
+    runShape(shape, cfg, [](NicController &nic) {
+        return nic.run(warmupTicks, windowTicks);
+    });
 }
 
 /** The vf_isolation quick row shapes (victim + storming aggressor). */
@@ -334,6 +346,20 @@ TEST(Golden, VfIsolationStorm)
 TEST(Golden, FaultStorm)
 {
     runShape("FaultStorm", faultStormConfig());
+}
+
+/// A mostly idle NIC (bench/sim_speed's quick rx-light row): one core
+/// at 200 MHz receiving 20 sparse frames, so nearly all core cycles
+/// are idle polls of the dispatch loop.
+TEST(Golden, QuietReceive)
+{
+    NicConfig cfg;
+    cfg.cores = 1;
+    cfg.cpuMhz = 200.0;
+    cfg.rxOfferedRate = 0.02;
+    runShape("QuietReceive", cfg, [](NicController &nic) {
+        return nic.runRxOnly(20, 4 * tickPerMs);
+    });
 }
 
 /// A 4-node forwarding ring on 2 worker threads (bench/fleet --quick
