@@ -381,12 +381,10 @@ TEST(Fleet, ReportExposesPerInstanceSubtreesAndAggregate)
     FleetRunner fleet(smallFleet(2, 1, true));
     FleetResults res = fleet.run();
 
-    stats::Report rep;
-    fleet.report(rep);
-    EXPECT_TRUE(rep.has("nic.0.link.txFrames"));
-    EXPECT_TRUE(rep.has("nic.1.link.txFrames"));
-    EXPECT_TRUE(rep.has("switch.forwarded"));
-    EXPECT_EQ(rep.get("switch.forwarded"),
+    EXPECT_TRUE(fleet.node(0).statTree().has("link.txFrames"));
+    EXPECT_TRUE(fleet.node(1).statTree().has("link.txFrames"));
+    EXPECT_TRUE(fleet.fleetStats().has("switch.forwarded"));
+    EXPECT_EQ(fleet.fleetStats().value("switch.forwarded"),
               static_cast<double>(res.framesForwarded));
 
     obs::json::Value doc = fleet.reportJson(res);
