@@ -73,6 +73,8 @@ constexpr Golden goldens[] = {
      0x95d8032d54da1bb8ull},
     {"QuietReceive", 0x46f460a0e7e04477ull, 0xe9d6e3b1bb7ee542ull,
      0x109f6925e21e99d8ull},
+    {"TsoDuplex", 0x92ac831c69c1054eull, 0x43a6820d9293445eull,
+     0x85c4c4d35d284319ull},
 };
 
 const Golden &
@@ -336,6 +338,15 @@ TEST(Golden, TaskLevelDuplex)
     NicConfig cfg;
     cfg.taskLevelFirmware = true;
     runShape("TaskLevelDuplex", cfg);
+}
+
+/// The paper defaults with deferred segmentation: one header-template
+/// and payload descriptor pair per four transmit frames.
+TEST(Golden, TsoDuplex)
+{
+    NicConfig cfg;
+    cfg.firmware.tsoSegments = 4;
+    runShape("TsoDuplex", cfg);
 }
 
 TEST(Golden, VfIsolationStorm)
