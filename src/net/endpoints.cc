@@ -20,7 +20,9 @@ void
 FrameSource::start(Tick start_tick)
 {
     running = true;
-    Tick at = std::max(start_tick, eq.curTick());
+    // The first frame arrives one inter-arrival gap after start, as a
+    // lone paced flow's does (Flow::firstGap).
+    Tick at = std::max(start_tick, eq.curTick()) + interArrival;
     eq.schedule(at, [this] { generateNext(); },
                 EventPriority::HardwareProgress);
 }

@@ -257,6 +257,7 @@ idleScanCost(NicConfig cfg)
     cfg.rxOfferedRate = 0.0001; // first frame lands ~12 ms out
     NicController nic(cfg);
     NicResults r = nic.runRxOnly(1, tickPerMs / 4);
+    EXPECT_EQ(r.rxFrames, 0u);
     double polls = static_cast<double>(r.coreTotals.idlePolls);
     double instr =
         static_cast<double>(r.profile[FuncTag::Idle].instructions);

@@ -57,24 +57,24 @@ struct Golden
 };
 
 constexpr Golden goldens[] = {
-    {"DefaultDuplex", 0xb1743be696af534bull, 0x5ea64d5193017a6eull,
-     0x01114311c4b93b67ull},
+    {"DefaultDuplex", 0x8db396a10a918d7full, 0x401f7f1956b421bcull,
+     0x787ea4850b2015f2ull},
     {"ImixEightFlows", 0x7f7d4ef8c3809f7full, 0x827c6624db95a022ull,
      0x4304a537fd6cd4b3ull},
     {"ImixRmw", 0xa7150c112f6361e3ull, 0xb16bc87e81ed8eb0ull,
      0xea8cbf4badfc6aa6ull},
-    {"TaskLevelDuplex", 0x7d6b2c616cd2f55eull, 0xa6588c33735563a1ull,
-     0x5547e4f4f5cdad3aull},
+    {"TaskLevelDuplex", 0xeb3529d93b42281dull, 0xa91558e8f10d4ce7ull,
+     0x17a5984e255101c2ull},
     {"VfIsolationStorm", 0x8390311d97b63316ull, 0xd130cf3e6172cd99ull,
      0xd8f646087ac62a64ull},
     {"FaultStorm", 0x20e091f404dfa0ecull, 0xa22bdfa91c4992a6ull,
      0x43a4f012ca9a9933ull},
     {"FleetRing", 0x1222d16764a8d935ull, 0xb1c9e1422ff8feafull,
      0x95d8032d54da1bb8ull},
-    {"QuietReceive", 0x46f460a0e7e04477ull, 0xe9d6e3b1bb7ee542ull,
-     0x109f6925e21e99d8ull},
-    {"TsoDuplex", 0x92ac831c69c1054eull, 0x43a6820d9293445eull,
-     0x85c4c4d35d284319ull},
+    {"QuietReceive", 0x7d1f0a003cf6a1cfull, 0x651389b6b876ecd6ull,
+     0xc88c13ce74ad8615ull},
+    {"TsoDuplex", 0x36b6dcc6ec12deccull, 0x8b5090d17fe44bdbull,
+     0xce708fba6d056040ull},
 };
 
 const Golden &
