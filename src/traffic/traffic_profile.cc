@@ -170,7 +170,8 @@ TrafficProfile::validate() const
              "flow id range [", flowIdBase, ", ",
              flowIdBase + flows.size(),
              ") exceeds the 16-bit flow id space");
-    fatal_if(offeredRate <= 0.0 || offeredRate > 1.0,
+    // Written so that NaN fails too.
+    fatal_if(!(offeredRate > 0.0 && offeredRate <= 1.0),
              "offered rate must be in (0, 1], got ", offeredRate);
     double total = 0;
     for (const FlowSpec &f : flows) {

@@ -101,6 +101,15 @@ TEST(FlowFrame, RoundTripsFlowAndSequence)
                                   txHeaderBytes, s2));
 }
 
+TEST(TrafficProfile, InvalidRateIsFatal)
+{
+    for (double rate : {0.0, 1.5, std::nan("")}) {
+        TrafficProfile p = TrafficProfile::uniform(
+            1, SizeModel::fixed(100), ArrivalModel::paced(), rate, 1);
+        EXPECT_THROW(p.validate(), FatalError) << "rate " << rate;
+    }
+}
+
 TEST(TrafficEngine, SameSeedProducesIdenticalSchedule)
 {
     TrafficProfile p = TrafficProfile::imixPoisson(8, 0.8, 42);
