@@ -102,7 +102,7 @@ main()
     }
 
     // Symmetric bulk transfer for reference: the paper's fixed-size
-    // single-stream workload on the legacy knobs.
+    // workload, one flow each way.
     runMix("bulk duplex (paper)", baseConfig());
 
     std::printf("\nThe firmware's frame-level organization lets idle "

@@ -12,14 +12,6 @@ MacTx::MacTx(EventQueue &eq, const ClockDomain &domain, GddrSdram &sdram_,
       sdramRequester(sdram_requester), fifoDepth(fifo_depth)
 {}
 
-MacTx::MacTx(EventQueue &eq, const ClockDomain &domain, GddrSdram &sdram_,
-             FrameSink &sink, unsigned sdram_requester,
-             unsigned fifo_depth)
-    : MacTx(eq, domain, sdram_,
-            Deliver([&sink](const FrameView &v) { sink.deliver(v); }),
-            sdram_requester, fifo_depth)
-{}
-
 bool
 MacTx::push(Command cmd)
 {

@@ -24,7 +24,6 @@
 #include <optional>
 
 #include "mem/sdram.hh"
-#include "net/endpoints.hh"
 #include "net/frame.hh"
 #include "sim/clock.hh"
 
@@ -56,11 +55,6 @@ class MacTx : public Clocked
 
     MacTx(EventQueue &eq, const ClockDomain &domain, GddrSdram &sdram,
           Deliver deliver, unsigned sdram_requester,
-          unsigned fifo_depth = 32);
-
-    /** Convenience: deliver transmitted frames to a FrameSink. */
-    MacTx(EventQueue &eq, const ClockDomain &domain, GddrSdram &sdram,
-          FrameSink &sink, unsigned sdram_requester,
           unsigned fifo_depth = 32);
 
     /** @retval false if the command FIFO is full. */

@@ -87,8 +87,8 @@ FleetConfig::validate() const
                  "set on every node (node ", i, ")");
         fatal_if(!n.txTraffic.enabled(), "fleet forwarding needs an "
                  "enabled txTraffic profile on every node (node ", i,
-                 "): the legacy single-stream transmit path tags every "
-                 "frame flow 0, which would alias across sources at the "
+                 "): the default one-flow workload is flow 0 on every "
+                 "node, which would alias across sources at the "
                  "destination validator");
         fatal_if(!n.vfs.empty(), "fleet forwarding with per-node VFs is "
                  "unsupported: the vnic mux numbers its flow ranges "

@@ -179,9 +179,9 @@ struct FleetConfig
      * when @p forward is set -- externalWire plus a disjoint global
      * flow-id range, so frames forwarded across the switch never
      * collide with any destination's own flows.  Forwarding requires
-     * the template to carry an enabled txTraffic profile (legacy
-     * fixed-size transmit streams are all flow 0 and would alias at
-     * the destination validator).
+     * the template to carry an enabled txTraffic profile (the default
+     * one-flow workload is flow 0 on every node and would alias at the
+     * destination validator).
      */
     static FleetConfig uniform(const NicConfig &base, unsigned count,
                                bool forward = true);

@@ -7,13 +7,10 @@ namespace tengig {
 DeviceDriver::DeviceDriver(HostMemory &host_, const Config &cfg)
     : host(host_), config(cfg)
 {
-    fatal_if(cfg.txPayloadBytes < 18 ||
-             cfg.txPayloadBytes > udpMaxPayloadBytes,
-             "tx payload must be in [18, 1472], got ", cfg.txPayloadBytes);
     fatal_if(cfg.tsoSegments == 0 || cfg.tsoSegments > 255,
              "tsoSegments must be in [1, 255]");
-    fatal_if(cfg.txFrameSpec && cfg.tsoSegments != 1,
-             "mixed-size tx schedules are incompatible with TSO");
+    fatal_if(!cfg.txFrameSpec && !cfg.txFrameNext,
+             "the driver needs a tx source: txFrameSpec or txFrameNext");
     fatal_if(cfg.txFrameNext && cfg.tsoSegments != 1,
              "pull-mode tx sources are incompatible with TSO");
     fatal_if(cfg.txFrameNext && cfg.txFrameSpec,
@@ -71,39 +68,29 @@ DeviceDriver::postOneSendFrame()
     // rather than filled bytes: the contents are a pure function of
     // (seq, flow, length), so the buffer carries 16-byte descriptors
     // and the bytes never exist unless something downstream reads the
-    // frame non-uniformly.  The header span (filler seeded by the
-    // global posting sequence, matching the old 0x40 + (i*7 + seq)
-    // fill) merges with segment 0's payload span into one whole-frame
-    // span; later TSO segments stay payload-only spans the NIC's
-    // header replication completes.  A multi-flow schedule picks this
-    // frame's flow and size and stamps the flow's own sequence space;
-    // otherwise every frame is flow 0 at the configured fixed size.
+    // frame non-uniformly.  The workload source picks each frame's
+    // flow and size, and the frame carries its flow's own sequence
+    // number.  The header span (filler seeded by the global posting
+    // sequence) merges with segment 0's payload span into one
+    // whole-frame span; later TSO segments stay payload-only spans the
+    // NIC's header replication completes.
     auto hdr_seed = static_cast<std::uint32_t>(seq);
-    unsigned payload = config.txPayloadBytes;
-    if (config.txFrameSpec || next) {
-        auto [flow, bytes] = next ? *next : config.txFrameSpec(seq);
+    unsigned payload = 0;
+    for (unsigned s = 0; s < segs; ++s) {
+        auto [flow, bytes] = next ? *next : config.txFrameSpec(seq + s);
         fatal_if(bytes < 18 || bytes > udpMaxPayloadBytes,
-                 "tx schedule payload out of range: ", bytes);
+                 "tx payload must be in [18, 1472], got ", bytes);
+        fatal_if(s > 0 && bytes != payload, "a TSO group needs one "
+                 "payload size, got ", bytes, " after ", payload);
         payload = bytes;
         std::uint32_t fseq = txFlowSeq[flow]++;
-        host.store().putFrame(
-            buf, FrameDesc{hdr_seed, fseq, flow, payload});
-        txPostedMeta[seq % config.sendRingFrames] = {flow, fseq};
-    } else {
+        FrameDesc desc{hdr_seed, fseq, flow, payload};
+        if (s == 0)
+            host.store().putSpan(buf, {desc, 0, txHeaderBytes});
         host.store().putSpan(
-            buf,
-            {FrameDesc{hdr_seed, static_cast<std::uint32_t>(seq), 0,
-                       payload},
-             0, txHeaderBytes});
-        for (unsigned s = 0; s < segs; ++s) {
-            host.store().putSpan(
-                buf + txHeaderBytes + static_cast<Addr>(s) * payload,
-                {FrameDesc{hdr_seed, static_cast<std::uint32_t>(seq + s),
-                           0, payload},
-                 txHeaderBytes, payload});
-            txPostedMeta[(seq + s) % config.sendRingFrames] =
-                {0, static_cast<std::uint32_t>(seq + s)};
-        }
+            buf + txHeaderBytes + static_cast<Addr>(s) * payload,
+            {desc, txHeaderBytes, payload});
+        txPostedMeta[(seq + s) % config.sendRingFrames] = {flow, fseq};
     }
 
     std::uint32_t flags = BufferDesc::flagLast;
@@ -225,24 +212,8 @@ DeviceDriver::rxCompletion(Addr host_buf, std::uint32_t len)
         v.bytes = host.bytesFor(host_buf, len);
     if (rxObserver)
         rxObserver(v);
-    if (rxDeliver) {
-        // External (per-flow) validation owns the frame check.
+    if (rxDeliver)
         rxDeliver(v);
-    } else {
-        std::uint32_t seq = 0, flow = 0;
-        if (!checkFrameView(v, seq, flow) || flow != 0) {
-            ++rxBad;
-        } else {
-            rxPayload += len - txHeaderBytes;
-            // Drops upstream (MAC overruns) legitimately create gaps;
-            // only a regression or duplicate is an ordering violation.
-            if (seq > rxExpectedSeq)
-                ++rxGaps;
-            else if (seq < rxExpectedSeq)
-                ++rxOutOfOrder;
-            rxExpectedSeq = seq + 1;
-        }
-    }
 
     // Replenish the pool in batches once enough buffers are returned.
     ++rxBuffersReturned;

@@ -7,8 +7,9 @@
  * sent frame -- a 42-byte header BD and a payload BD, matching the
  * paper's discontiguous-regions observation), rings mailbox doorbells,
  * preallocates and replenishes the receive buffer pool, and consumes
- * completions.  It also validates everything coming back: receive
- * completions must arrive in order, exactly once, with intact payloads.
+ * completions.  Every frame it posts comes from a workload source that
+ * names the frame's flow and size; every frame it receives goes to an
+ * external validator (a per-flow FlowSink in NicController).
  *
  * Host CPU time and host-interconnect latency are untimed (paper §5);
  * the driver reacts instantly to NIC notifications.
@@ -57,7 +58,6 @@ class DeviceDriver
         unsigned sendRingFrames = 1024;  //!< outstanding TX frames
         unsigned recvPoolBuffers = 1024; //!< outstanding RX buffers
         unsigned recvPostBatch = 64;     //!< BDs posted per doorbell
-        unsigned txPayloadBytes = udpMaxPayloadBytes;
         /**
          * Deferred segmentation (the paper's future-work TSO, after
          * reference [4]): when > 1, each posted descriptor pair
@@ -67,10 +67,10 @@ class DeviceDriver
         unsigned tsoSegments = 1;
 
         /**
-         * Multi-flow workload schedule: (flow id, payload bytes) for
-         * posted frame number i.  When set, txPayloadBytes is ignored,
-         * every frame carries its flow's own sequence space, and TSO
-         * must be off (mixed sizes cannot share one sliced buffer).
+         * Workload schedule: (flow id, payload bytes) for posted frame
+         * number i.  Every frame carries its flow's own sequence space.
+         * With TSO, the frames of one group must share a payload size
+         * (the NIC slices one buffer evenly).
          */
         std::function<std::pair<std::uint32_t, unsigned>(std::uint64_t)>
             txFrameSpec;
@@ -145,10 +145,9 @@ class DeviceDriver
     /// @}
 
     /**
-     * Divert delivered receive frames (header + payload) to an
-     * external validator -- e.g. a per-flow FlowSink -- instead of the
-     * driver's built-in single-stream sequence check.  Clean frames
-     * arrive as descriptor-backed views (O(1) validation).
+     * Hand every delivered receive frame (header + payload) to its
+     * validator, e.g. a per-flow FlowSink.  Clean frames arrive as
+     * descriptor-backed views (O(1) validation).
      */
     void
     onRxDeliver(std::function<void(const FrameView &)> fn)
@@ -157,9 +156,9 @@ class DeviceDriver
     }
 
     /**
-     * Passive tap fired for every delivered receive frame, in addition
-     * to -- never instead of -- the validation path above.  Used by
-     * observability (latency bookkeeping).
+     * Passive tap fired for every delivered receive frame, before the
+     * delivery hook above.  Used by observability (latency
+     * bookkeeping).
      */
     void
     onRxDelivered(std::function<void(const FrameView &)> fn)
@@ -167,20 +166,11 @@ class DeviceDriver
         rxObserver = std::move(fn);
     }
 
-    /// @name Workload statistics and validation results
+    /// @name Workload statistics
     /// @{
     std::uint64_t txFramesPosted() const { return txPosted; }
     std::uint64_t txFramesConsumed() const { return txConsumed; }
     std::uint64_t rxFramesDelivered() const { return rxDelivered.value(); }
-    std::uint64_t rxPayloadBytes() const { return rxPayload.value(); }
-    std::uint64_t rxIntegrityErrors() const { return rxBad.value(); }
-
-    /** Duplicate/regressed completions -- always a violation. */
-    std::uint64_t rxOrderErrors() const { return rxOutOfOrder.value(); }
-
-    /** Forward sequence jumps: frames lost upstream (MAC overruns).
-     *  Informational, not an error -- receive drops are legitimate. */
-    std::uint64_t rxSeqGaps() const { return rxGaps.value(); }
 
     /** Zero-length completions: the NIC abandoned the frame's content
      *  DMA under fault injection; the buffer was recycled without
@@ -232,16 +222,11 @@ class DeviceDriver
     Addr rxBufBase;
     std::uint64_t rxBdsPosted = 0;
     std::uint64_t rxBuffersReturned = 0;
-    std::uint32_t rxExpectedSeq = 0;
     std::function<void(std::uint64_t)> recvDoorbell;
     std::function<void(const FrameView &)> rxDeliver;
     std::function<void(const FrameView &)> rxObserver;
 
     stats::Counter rxDelivered;
-    stats::Counter rxPayload;
-    stats::Counter rxBad;
-    stats::Counter rxOutOfOrder;
-    stats::Counter rxGaps;
     stats::Counter rxFaultDrops;
 };
 

@@ -1,33 +1,23 @@
 /**
  * @file
- * Network-side endpoints: a paced frame generator (the link's receive
- * direction, from the NIC's point of view) and a validating sink (the
- * transmit direction).
- *
- * The source paces arrivals with real Ethernet timing (preamble +
- * frame + IFG byte times at 10 Gb/s), so offering "line rate" means
- * exactly the paper's 812,744 frames/s for 1518-byte frames.  The sink
- * checks that every transmitted frame arrives exactly once, in order,
- * with an intact payload, after its full journey through host memory,
- * DMA, SDRAM and the MAC.
+ * The network-side endpoint interface: a paced frame generator feeding
+ * the NIC's receive MAC.  Its implementations live in src/traffic;
+ * the transmit direction terminates in a per-flow FlowSink there too.
  */
 
 #ifndef TENGIG_NET_ENDPOINTS_HH
 #define TENGIG_NET_ENDPOINTS_HH
 
-#include <functional>
-#include <set>
+#include <cstdint>
 
-#include "net/frame.hh"
-#include "sim/event_queue.hh"
-#include "sim/stats.hh"
+#include "sim/types.hh"
 
 namespace tengig {
 
 /**
  * Anything that offers a paced stream of frames to the NIC's receive
- * MAC: the fixed-size FrameSource below, the multi-flow TrafficEngine,
- * or a TraceReplayer (src/traffic).
+ * MAC: the multi-flow TrafficEngine (the paper's fixed-size stream is
+ * its one-flow case) or a TraceReplayer (src/traffic).
  */
 class FrameGenerator
 {
@@ -45,108 +35,6 @@ class FrameGenerator
 
     virtual std::uint64_t framesOffered() const = 0;
     virtual std::uint64_t framesDropped() const = 0;
-};
-
-/**
- * Generates a stream of UDP frames toward the NIC with wire pacing.
- */
-class FrameSource : public FrameGenerator
-{
-  public:
-    /**
-     * @param payload_bytes UDP payload size for every frame.
-     * @param rate Offered load as a fraction of line rate (0, 1].
-     * @param sink Callback receiving each arriving frame; returns false
-     *             if the NIC had to drop it (MAC buffer overrun).
-     */
-    FrameSource(EventQueue &eq, unsigned payload_bytes, double rate,
-                std::function<bool(FrameData &&)> sink);
-
-    void start(Tick start_tick = 0) override;
-    void stop() override { running = false; }
-    void setFrameLimit(std::uint64_t n) override { limit = n; }
-
-    std::uint64_t framesOffered() const override { return offered.value(); }
-    std::uint64_t framesDropped() const override { return dropped.value(); }
-
-  private:
-    void generateNext();
-
-    EventQueue &eq;
-    unsigned payloadBytes;
-    Tick interArrival;
-    std::function<bool(FrameData &&)> sink;
-    std::uint32_t nextSeq = 0;
-    std::uint64_t limit = 0; //!< 0 = unlimited
-    bool running = false;
-
-    stats::Counter offered;
-    stats::Counter dropped;
-};
-
-/**
- * Terminates the NIC's transmit stream and validates it.
- */
-class FrameSink
-{
-  public:
-    FrameSink() = default;
-
-    /**
-     * Deliver one transmitted frame (header + payload, no CRC).
-     * Validates the payload integrity header and the sequence order;
-     * descriptor-backed views validate in O(1) (see checkFrameView).
-     */
-    void deliver(const FrameView &v);
-
-    /** Byte-buffer convenience overload. */
-    void
-    deliver(const std::uint8_t *bytes, unsigned len)
-    {
-        FrameView v;
-        v.bytes = bytes;
-        v.len = len;
-        deliver(v);
-    }
-
-    std::uint64_t framesReceived() const { return frames.value(); }
-    std::uint64_t payloadBytesReceived() const { return payload.value(); }
-    std::uint64_t integrityErrors() const { return badPayload.value(); }
-
-    /** Sequence jumped forward: at least one frame went missing. */
-    std::uint64_t gapErrors() const { return gaps.value(); }
-
-    /** Sequence regressed: a duplicate or reordered frame. */
-    std::uint64_t duplicateErrors() const { return duplicates.value(); }
-
-    /** All sequencing violations (gaps + duplicates). */
-    std::uint64_t
-    orderErrors() const
-    {
-        return gaps.value() + duplicates.value();
-    }
-
-    std::uint32_t nextExpectedSeq() const { return expected; }
-
-    /**
-     * Announce a deliberate (fault-injected) drop of @p seq before the
-     * next frame arrives: the resulting hole is then counted as an
-     * injected drop rather than a gap error.
-     */
-    void noteInjectedDrop(std::uint32_t seq) { noted.insert(seq); }
-
-    /** Sequence holes matched against noteInjectedDrop announcements. */
-    std::uint64_t injectedDrops() const { return injected.value(); }
-
-  private:
-    std::uint32_t expected = 0;
-    std::set<std::uint32_t> noted;
-    stats::Counter frames;
-    stats::Counter payload;
-    stats::Counter badPayload;
-    stats::Counter gaps;
-    stats::Counter duplicates;
-    stats::Counter injected;
 };
 
 } // namespace tengig

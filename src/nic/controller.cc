@@ -9,7 +9,8 @@ namespace tengig {
 namespace {
 
 /** A frame generator that never generates: vnic runs where no VF has
- *  receive traffic still own a source for the shared stat plumbing. */
+ *  receive traffic, and fleet nodes whose every arrival comes from
+ *  peers, still own a source for the shared stat plumbing. */
 class IdleGenerator : public FrameGenerator
 {
   public:
@@ -19,6 +20,15 @@ class IdleGenerator : public FrameGenerator
     std::uint64_t framesOffered() const override { return 0; }
     std::uint64_t framesDropped() const override { return 0; }
 };
+
+/** The paper workload in one direction: flow 0, fixed-size, paced. */
+TrafficProfile
+paperFlow(unsigned payload_bytes, double rate)
+{
+    return TrafficProfile::uniform(1, SizeModel::fixed(payload_bytes),
+                                   ArrivalModel::paced(), rate,
+                                   TrafficProfile{}.seed);
+}
 
 } // namespace
 
@@ -61,7 +71,7 @@ NicController::build()
     // Fault injection and the virtualization layer come first: the
     // driver's pull-mode tx source and the DMA assists capture them.
     // vnic runs derive the injector from the per-VF plans (one tenant
-    // per VF); legacy runs keep the single-plan injector.
+    // per VF); other runs keep the single-plan injector.
     Cycles wdCycles = cfg.faults.watchdogCycles;
     if (vnicOn()) {
         fatal_if(cfg.txTraffic.enabled() || cfg.rxTraffic.enabled(),
@@ -89,11 +99,33 @@ NicController::build()
     } else if (cfg.faults.enabled()) {
         injector = std::make_unique<FaultInjector>(cfg.faults, eq);
     }
+    fatal_if(cfg.txPaceRate > 0.0 &&
+             (vnicOn() || !cfg.txTraffic.enabled()),
+             "txPaceRate requires a txTraffic profile (vnic runs pace "
+             "through per-VF admission buckets instead)");
+    fatal_if(cfg.firmware.tsoSegments != 1 && cfg.txTraffic.enabled(),
+             "TSO needs one payload size per group: it runs the default "
+             "fixed-size transmit workload, not a txTraffic profile");
+
+    // The workload, one profile per direction.  An empty profile is the
+    // paper's: one fixed-size paced flow (flow 0) from txPayloadBytes,
+    // or rxPayloadBytes at rxOfferedRate.  vnic runs merge the per-VF
+    // profiles instead, and a fleet node with no local receive profile
+    // gets every arrival from its peers.
+    TrafficProfile txProfile = cfg.txTraffic;
+    TrafficProfile rxProfile = cfg.rxTraffic;
+    if (vnicOn()) {
+        rxProfile = VnicMux::mergedRxProfile(cfg.vfs);
+    } else {
+        if (!txProfile.enabled())
+            txProfile = paperFlow(cfg.txPayloadBytes, 1.0);
+        if (!rxProfile.enabled() && !cfg.externalWire)
+            rxProfile = paperFlow(cfg.rxPayloadBytes, cfg.rxOfferedRate);
+    }
 
     DeviceDriver::Config dc;
     dc.sendRingFrames = cfg.sendRingFrames;
     dc.recvPoolBuffers = cfg.recvPoolBuffers;
-    dc.txPayloadBytes = cfg.txPayloadBytes;
     dc.tsoSegments = cfg.firmware.tsoSegments;
     if (vnicOn()) {
         // The posting arbiter is the frame source: weighted DRR +
@@ -101,8 +133,8 @@ NicController::build()
         dc.txFrameNext = [this](std::uint64_t seq) {
             return vnic->nextTxFrame(seq);
         };
-    } else if (cfg.txTraffic.enabled()) {
-        txSched = std::make_unique<TxSchedule>(cfg.txTraffic);
+    } else {
+        txSched = std::make_unique<TxSchedule>(txProfile);
         if (cfg.txPaceRate > 0.0) {
             fatal_if(cfg.txPaceRate > 1.0, "txPaceRate must be a "
                      "fraction of line rate in (0, 1], got ",
@@ -141,10 +173,6 @@ NicController::build()
             };
         }
     }
-    fatal_if(cfg.txPaceRate > 0.0 &&
-             (vnicOn() || !cfg.txTraffic.enabled()),
-             "txPaceRate requires a txTraffic profile (vnic runs pace "
-             "through per-VF admission buckets instead)");
     driver = std::make_unique<DeviceDriver>(*hostMem, dc);
     if (vnicOn()) {
         // Throttled posting resumes when a bucket refills or a lost
@@ -154,11 +182,7 @@ NicController::build()
             rxFlow.deliver(v);
             vnic->noteRxDelivered(v);
         });
-    } else if (rxFlowsOn()) {
-        // Per-flow validation replaces the driver's single-stream
-        // sequence check in the receive direction (also on externalWire
-        // runs: peer frames carry flow tags no single-stream check can
-        // order).
+    } else {
         driver->onRxDeliver(
             [this](const FrameView &v) { rxFlow.deliver(v); });
     }
@@ -209,10 +233,7 @@ NicController::build()
         // validator can expect exactly that hole.
         tasks->attachFaults(injector.get(), [this](std::uint64_t seq) {
             auto [flow, fseq] = driver->txFrameMeta(seq);
-            if (txFlowsOn())
-                txFlow.noteInjectedDrop(flow, fseq);
-            else
-                sink.noteInjectedDrop(fseq);
+            txFlow.noteInjectedDrop(flow, fseq);
         });
     }
     if (vnicOn()) {
@@ -234,39 +255,19 @@ NicController::build()
         [this](unsigned len) { return tasks->allocRxSlot(len); },
         [this](const MacRx::StoredFrame &sf) { tasks->rxFrameStored(sf); });
 
-    if (vnicOn()) {
-        // One serialized wire carries every tenant's arrivals; the
-        // merged profile reproduces each flow's solo rate exactly
-        // (VnicMux::mergedRxProfile).  With no rx traffic configured
-        // anywhere, an idle generator keeps the plumbing uniform.
-        TrafficProfile merged = VnicMux::mergedRxProfile(cfg.vfs);
-        if (merged.enabled()) {
-            auto engine = std::make_unique<TrafficEngine>(
-                eq, merged, [this](FrameData &&fd) {
-                    return rxArrived(std::move(fd));
-                });
-            rxEngine = engine.get();
-            source = std::move(engine);
-        } else {
-            source = std::make_unique<IdleGenerator>();
-        }
-    } else if (cfg.rxTraffic.enabled()) {
+    // On vnic runs one serialized wire carries every tenant's
+    // arrivals; the merged profile reproduces each flow's solo rate
+    // exactly (VnicMux::mergedRxProfile).  With no receive profile, an
+    // idle generator keeps the plumbing uniform.
+    if (rxProfile.enabled()) {
         auto engine = std::make_unique<TrafficEngine>(
-            eq, cfg.rxTraffic, [this](FrameData &&fd) {
+            eq, rxProfile, [this](FrameData &&fd) {
                 return rxArrived(std::move(fd));
             });
         rxEngine = engine.get();
         source = std::move(engine);
-    } else if (cfg.externalWire) {
-        // A fleet node with no local receive workload: every arrival
-        // comes from peers through injectWireFrame().
-        source = std::make_unique<IdleGenerator>();
     } else {
-        source = std::make_unique<FrameSource>(
-            eq, cfg.rxPayloadBytes, cfg.rxOfferedRate,
-            [this](FrameData &&fd) {
-                return rxArrived(std::move(fd));
-            });
+        source = std::make_unique<IdleGenerator>();
     }
 
     // Doorbells go through the lost-notification recovery channels;
@@ -385,17 +386,12 @@ NicController::checkLiveness()
 void
 NicController::txDelivered(const FrameView &v)
 {
-    // Wire-side validation first (the historical single consumer),
-    // then the external tap: the fleet switch sees exactly the frames
-    // the validator accepted responsibility for.
-    if (vnic) {
-        txFlow.deliver(v);
+    // Wire-side validation first, then the external tap: the fleet
+    // switch sees exactly the frames the validator accepted
+    // responsibility for.
+    txFlow.deliver(v);
+    if (vnic)
         vnic->noteTxDelivered(v);
-    } else if (txFlowsOn()) {
-        txFlow.deliver(v);
-    } else {
-        sink.deliver(v);
-    }
     if (wireTap)
         wireTap(v);
 }
@@ -518,7 +514,7 @@ NicController::registerAllStats()
 
     obs::StatGroup &link = statRoot.group("link");
     link.derived("txFrames", [this] {
-        return static_cast<double>(txFramesNow());
+        return static_cast<double>(txFlow.framesReceived());
     });
     link.derived("rxFramesDelivered", [this] {
         return static_cast<double>(driver->rxFramesDelivered());
@@ -529,72 +525,49 @@ NicController::registerAllStats()
         return static_cast<double>(source->framesDropped());
     });
 
-    bool tx_flows = txFlowsOn();
-    bool rx_flows = rxFlowsOn();
     obs::StatGroup &check = statRoot.group("check");
-    check.derived("orderErrors", [this, tx_flows, rx_flows] {
-        std::uint64_t n =
-            (tx_flows ? txFlow.gapErrors() + txFlow.duplicateErrors()
-                      : sink.orderErrors()) +
-            (rx_flows ? rxFlow.duplicateErrors()
-                      : driver->rxOrderErrors());
-        return static_cast<double>(n);
+    check.derived("orderErrors", [this] {
+        return static_cast<double>(txFlow.gapErrors() +
+                                   txFlow.duplicateErrors() +
+                                   rxFlow.duplicateErrors());
     });
-    check.derived("integrityErrors", [this, tx_flows, rx_flows] {
-        std::uint64_t n =
-            (tx_flows ? txFlow.integrityErrors()
-                      : sink.integrityErrors()) +
-            (rx_flows ? rxFlow.integrityErrors()
-                      : driver->rxIntegrityErrors());
-        return static_cast<double>(n);
+    check.derived("integrityErrors", [this] {
+        return static_cast<double>(txFlow.integrityErrors() +
+                                   rxFlow.integrityErrors());
     });
-    check.derived("orderGaps", [this, tx_flows, rx_flows] {
-        std::uint64_t n =
-            (tx_flows ? txFlow.gapErrors() : sink.gapErrors()) +
-            (rx_flows ? rxFlow.gapErrors() : driver->rxSeqGaps());
-        return static_cast<double>(n);
+    check.derived("orderGaps", [this] {
+        return static_cast<double>(txFlow.gapErrors() +
+                                   rxFlow.gapErrors());
     });
-    check.derived("orderDuplicates", [this, tx_flows, rx_flows] {
-        std::uint64_t n =
-            (tx_flows ? txFlow.duplicateErrors()
-                      : sink.duplicateErrors()) +
-            (rx_flows ? rxFlow.duplicateErrors()
-                      : driver->rxOrderErrors());
-        return static_cast<double>(n);
+    check.derived("orderDuplicates", [this] {
+        return static_cast<double>(txFlow.duplicateErrors() +
+                                   rxFlow.duplicateErrors());
     });
 
-    if (tx_flows || rx_flows) {
-        obs::StatGroup &traffic = statRoot.group("traffic");
-        if (tx_flows) {
-            traffic.derived("txFlowsSeen", [this] {
-                return static_cast<double>(txFlow.flowsSeen());
-            });
-        }
-        if (rx_flows) {
-            traffic.derived("rxFlowsSeen", [this] {
-                return static_cast<double>(rxFlow.flowsSeen());
-            });
-            if (rxEngine) {
-                // Guarded closures, not live counter pointers: the
-                // engine dies if useRxTrace() swaps in a replayer.
-                traffic.derived("rxFlowCount", [this] {
-                    return rxEngine
-                        ? static_cast<double>(rxEngine->flowCount())
-                        : 0.0;
-                });
-                traffic.derived("rxMeanOfferedPayload", [this] {
-                    return rxEngine ? rxEngine->sizeHistogram().mean()
-                                    : 0.0;
-                });
-            }
-            traffic.derived("rxOffered", [this] {
-                return static_cast<double>(source->framesOffered());
-            });
-            traffic.derived("rxDropped", [this] {
-                return static_cast<double>(source->framesDropped());
-            });
-        }
+    obs::StatGroup &traffic = statRoot.group("traffic");
+    traffic.derived("txFlowsSeen", [this] {
+        return static_cast<double>(txFlow.flowsSeen());
+    });
+    traffic.derived("rxFlowsSeen", [this] {
+        return static_cast<double>(rxFlow.flowsSeen());
+    });
+    if (rxEngine) {
+        // Guarded closures, not live counter pointers: the engine dies
+        // if useRxTrace() swaps in a replayer.
+        traffic.derived("rxFlowCount", [this] {
+            return rxEngine ? static_cast<double>(rxEngine->flowCount())
+                            : 0.0;
+        });
+        traffic.derived("rxMeanOfferedPayload", [this] {
+            return rxEngine ? rxEngine->sizeHistogram().mean() : 0.0;
+        });
     }
+    traffic.derived("rxOffered", [this] {
+        return static_cast<double>(source->framesOffered());
+    });
+    traffic.derived("rxDropped", [this] {
+        return static_cast<double>(source->framesDropped());
+    });
 
     if (vnic)
         vnic->registerStats(statRoot.group("vf"));
@@ -613,9 +586,7 @@ NicController::registerAllStats()
             return static_cast<double>(driver->rxFaultDropCount());
         }, "zero-length completions the driver recycled");
         f.derived("txInjectedDropsSeen", [this] {
-            return static_cast<double>(
-                txFlowsOn() ? txFlow.injectedDrops()
-                            : sink.injectedDrops());
+            return static_cast<double>(txFlow.injectedDrops());
         }, "wire-side sequence holes matched to poison skips");
         f.derived("dmaFifoFullRejects", [this] {
             return static_cast<double>(dmaRead->fifoFullRejects() +
@@ -751,27 +722,6 @@ NicController::resetAllStats()
     rxLatencyHist.reset();
 }
 
-std::uint64_t
-NicController::txFramesNow() const
-{
-    return txFlowsOn() ? txFlow.framesReceived()
-                       : sink.framesReceived();
-}
-
-std::uint64_t
-NicController::txPayloadNow() const
-{
-    return txFlowsOn() ? txFlow.payloadBytesReceived()
-                       : sink.payloadBytesReceived();
-}
-
-std::uint64_t
-NicController::rxPayloadNow() const
-{
-    return rxFlowsOn() ? rxFlow.payloadBytesReceived()
-                       : driver->rxPayloadBytes();
-}
-
 NicResults
 NicController::collect(Tick measured, std::uint64_t tx0_frames,
                        std::uint64_t tx0_payload,
@@ -783,10 +733,10 @@ NicController::collect(Tick measured, std::uint64_t tx0_frames,
     r.measuredTicks = measured;
     double secs = static_cast<double>(measured) / tickPerSec;
 
-    r.txFrames = txFramesNow() - tx0_frames;
-    std::uint64_t tx_payload = txPayloadNow() - tx0_payload;
+    r.txFrames = txFlow.framesReceived() - tx0_frames;
+    std::uint64_t tx_payload = txFlow.payloadBytesReceived() - tx0_payload;
     r.rxFrames = driver->rxFramesDelivered() - rx0_frames;
-    std::uint64_t rx_payload = rxPayloadNow() - rx0_payload;
+    std::uint64_t rx_payload = rxFlow.payloadBytesReceived() - rx0_payload;
 
     if (secs > 0) {
         r.txUdpGbps = tx_payload * 8.0 / secs / 1e9;
@@ -799,28 +749,13 @@ NicController::collect(Tick measured, std::uint64_t tx0_frames,
     // included, so its count alone is each refusal once.
     r.rxDropped = source->framesDropped() - rx0_dropped;
 
-    bool tx_flows = txFlowsOn();
-    bool rx_flows = rxFlowsOn();
-    std::uint64_t tx_integ = tx_flows ? txFlow.integrityErrors()
-                                      : sink.integrityErrors();
-    std::uint64_t tx_gaps = tx_flows ? txFlow.gapErrors()
-                                     : sink.gapErrors();
-    std::uint64_t tx_dups = tx_flows ? txFlow.duplicateErrors()
-                                     : sink.duplicateErrors();
-    std::uint64_t rx_integ = rx_flows ? rxFlow.integrityErrors()
-                                      : driver->rxIntegrityErrors();
-    std::uint64_t rx_gaps = rx_flows ? rxFlow.gapErrors()
-                                     : driver->rxSeqGaps();
-    std::uint64_t rx_dups = rx_flows ? rxFlow.duplicateErrors()
-                                     : driver->rxOrderErrors();
-    r.integrityErrors = tx_integ + rx_integ;
-    r.orderGaps = tx_gaps + rx_gaps;
-    r.orderDuplicates = tx_dups + rx_dups;
-    r.flowsValidated = (tx_flows ? txFlow.flowsSeen() : 0) +
-        (rx_flows ? rxFlow.flowsSeen() : 0);
+    r.integrityErrors = txFlow.integrityErrors() + rxFlow.integrityErrors();
+    r.orderGaps = txFlow.gapErrors() + rxFlow.gapErrors();
+    r.orderDuplicates = txFlow.duplicateErrors() + rxFlow.duplicateErrors();
+    r.flowsValidated = txFlow.flowsSeen() + rxFlow.flowsSeen();
     // The transmit path must never lose a frame, so its gaps are
     // errors; receive gaps only reflect legitimate overrun drops.
-    r.errors = tx_integ + tx_gaps + tx_dups + rx_integ + rx_dups;
+    r.errors = txFlow.errors() + rxFlow.errors();
 
     for (auto &c : cores) {
         const CoreStats &s = c->stats();
@@ -889,10 +824,10 @@ NicController::beginMeasurement()
     // memory-system counters.
     resetAllStats();
     snap.startTick = eq.curTick();
-    snap.txFrames = txFramesNow();
-    snap.txPayload = txPayloadNow();
+    snap.txFrames = txFlow.framesReceived();
+    snap.txPayload = txFlow.payloadBytesReceived();
     snap.rxFrames = driver->rxFramesDelivered();
-    snap.rxPayload = rxPayloadNow();
+    snap.rxPayload = rxFlow.payloadBytesReceived();
     snap.rxDropped = source->framesDropped();
     snap.spadAccesses = spad->totalAccesses();
     snap.ramBytes = ram->transferredBytes();

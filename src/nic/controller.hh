@@ -57,7 +57,7 @@ struct NicResults
     std::uint64_t integrityErrors = 0;  //!< corrupt/truncated payloads
     std::uint64_t orderGaps = 0;        //!< missing-sequence events
     std::uint64_t orderDuplicates = 0;  //!< duplicated/regressed frames
-    std::uint64_t flowsValidated = 0;   //!< distinct flows seen (0 = single-stream run)
+    std::uint64_t flowsValidated = 0;   //!< distinct flows seen, both directions
     /// @}
 
     double aggregateIpc = 0.0;
@@ -211,9 +211,8 @@ class NicController
 
     /**
      * Replace the receive-direction generator with a recorded trace
-     * (replayed from tick 0 of the run).  Call before run().  Pair it
-     * with an rxTraffic-enabled config so the per-flow validator
-     * handles the trace's flow-tagged frames.
+     * (replayed from tick 0 of the run).  Call before run().  The
+     * per-flow receive validator checks the trace's flow-tagged frames.
      */
     void useRxTrace(std::istream &in);
 
@@ -221,21 +220,21 @@ class NicController
     /// @{
     EventQueue &eventQueue() { return eq; }
     DeviceDriver &deviceDriver() { return *driver; }
-    FrameSink &frameSink() { return sink; }
     FwState &firmwareState() { return *fwState; }
     Scratchpad &scratchpad() { return *spad; }
     GddrSdram &sdram() { return *ram; }
     HostMemory &hostMemory() { return *hostMem; }
     const NicConfig &config() const { return cfg; }
 
-    /** Per-flow wire-side transmit validator (txTraffic runs). */
+    /** Per-flow wire-side transmit validator. */
     FlowSink &txFlowSink() { return txFlow; }
 
-    /** Per-flow host-side receive validator (rxTraffic runs). */
+    /** Per-flow host-side receive validator. */
     FlowSink &rxFlowSink() { return rxFlow; }
 
-    /** The rx generator: attach a TraceRecorder before run().
-     *  Null unless rxTraffic is enabled. */
+    /** The rx generator: attach a TraceRecorder before run().  Null
+     *  with no receive profile (an idle vnic or fleet node) and after
+     *  useRxTrace(). */
     TrafficEngine *rxTrafficEngine() { return rxEngine; }
 
     FrameGenerator &frameGenerator() { return *source; }
@@ -288,28 +287,7 @@ class NicController
     void doorbellRetry(DoorbellChannel &ch, bool send);
     /// @}
 
-    /// @name Mode-independent delivery counters (legacy vs per-flow)
-    /// @{
-    std::uint64_t txFramesNow() const;
-    std::uint64_t txPayloadNow() const;
-    std::uint64_t rxPayloadNow() const;
-    /// @}
-
-    /// @name Validation-mode predicates
-    /// vnic runs use the per-flow sinks in both directions even though
-    /// the single-profile knobs stay empty.
-    /// @{
     bool vnicOn() const { return !cfg.vfs.empty(); }
-    bool txFlowsOn() const
-    {
-        return cfg.txTraffic.enabled() || vnicOn();
-    }
-    bool rxFlowsOn() const
-    {
-        return cfg.rxTraffic.enabled() || vnicOn() ||
-               cfg.externalWire;
-    }
-    /// @}
 
     NicConfig cfg;
     EventQueue eq;
@@ -323,11 +301,10 @@ class NicController
     std::vector<std::unique_ptr<ICache>> icaches;
 
     std::unique_ptr<DeviceDriver> driver;
-    FrameSink sink;
     FlowSink txFlow{/*lossless=*/true};
     FlowSink rxFlow{/*lossless=*/false};
     std::unique_ptr<FrameGenerator> source;
-    TrafficEngine *rxEngine = nullptr; //!< source, when rxTraffic is on
+    TrafficEngine *rxEngine = nullptr; //!< source, when a profile runs
     std::unique_ptr<TxSchedule> txSched;
     Tick txPaceNext = 0;      //!< earliest paced-tx posting tick
     bool txPaceArmed = false; //!< a resumeSend wakeup is scheduled
@@ -385,7 +362,7 @@ class NicController
     /// @name Fault injection and graceful degradation (src/fault)
     /// @{
     std::unique_ptr<FaultInjector> injector;   //!< null when disabled
-    std::unique_ptr<VnicMux> vnic;             //!< null on legacy runs
+    std::unique_ptr<VnicMux> vnic;             //!< null without VFs
     std::unique_ptr<FirmwareWatchdog> fwWatchdog;
     LivenessMonitor liveness;
     DoorbellChannel sendDb;

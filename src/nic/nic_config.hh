@@ -51,6 +51,9 @@ struct NicConfig
     FaultPlan faults;
 
     /// @name Workload
+    /// The paper's workload by default: one fixed-size paced flow
+    /// (flow 0) each way, sized by txPayloadBytes and rxPayloadBytes
+    /// ([18, 1472]), the receive one offered at rxOfferedRate.
     /// @{
     unsigned txPayloadBytes = udpMaxPayloadBytes;
     unsigned rxPayloadBytes = udpMaxPayloadBytes;
@@ -59,12 +62,13 @@ struct NicConfig
     unsigned recvPoolBuffers = 1024;
 
     /**
-     * Multi-flow workloads (src/traffic).  When a profile is enabled
-     * it replaces the fixed-size knob for its direction: rxTraffic
-     * drives the receive MAC through a TrafficEngine instead of the
-     * single-flow FrameSource, txTraffic makes the host driver post
-     * mixed-size flow-tagged send frames from a TxSchedule, and the
-     * corresponding validator becomes a per-flow FlowSink.
+     * Multi-flow workloads (src/traffic).  An enabled profile replaces
+     * the fixed-size flow of its direction: rxTraffic drives the
+     * receive MAC through a TrafficEngine, and txTraffic makes the
+     * host driver post the mixed-size flow-tagged send frames of a
+     * TxSchedule.  Either way a per-flow FlowSink validates each
+     * direction.  TSO (firmware.tsoSegments > 1) needs the fixed-size
+     * transmit flow, so it rejects a txTraffic profile.
      */
     TrafficProfile rxTraffic;
     TrafficProfile txTraffic;
@@ -85,12 +89,11 @@ struct NicConfig
      * Scale-out fleet participation (src/fleet, DESIGN.md §15).  When
      * set, this NIC's wire is connected to an external peer (the fleet
      * switch) instead of being a closed loop: frames may arrive that
-     * no local generator produced, so the receive direction always
-     * validates per-flow (lossy contract), and with no local rxTraffic
+     * no local generator produced, and with no local rxTraffic
      * configured the controller installs an idle generator instead of
-     * the legacy fixed-size FrameSource.  The transmit stream is still
-     * validated locally (lossless, per-flow) and additionally handed
-     * to the wire tap (setWireTap) for forwarding.  Off by default:
+     * the fixed-size receive flow.  Both directions are validated per
+     * flow as on any NIC, and the transmit stream is also handed to
+     * the wire tap (setWireTap) for forwarding.  Off by default:
      * single-NIC runs are bit-identical to a build without the fleet
      * subsystem.
      */
@@ -103,7 +106,7 @@ struct NicConfig
      * VnicMux arbitrates them over the shared datapath.  A vnic run
      * owns the workload and fault configuration, so rxTraffic /
      * txTraffic / faults must stay at their defaults.  Empty (the
-     * default) means the legacy single-function NIC with every vnic
+     * default) means a single-function NIC with every vnic
      * hook structurally absent and runs bit-identical to a build
      * without the subsystem.
      */

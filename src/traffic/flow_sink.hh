@@ -2,13 +2,13 @@
  * @file
  * Per-flow validating sink.
  *
- * FlowSink terminates a stream of flow-tagged frames and checks, *per
- * flow*, what FrameSink checks for a single stream: every frame's
- * integrity header must verify, and each flow's embedded sequence
- * numbers must advance without regression.  The paper's total-order
- * transmit check remains valid within a flow because both the driver
- * and the NIC preserve posting order; across flows no order is
- * promised, so interleaving is never an error.
+ * FlowSink terminates a stream of flow-tagged frames and checks it
+ * *per flow*: every frame's integrity header must verify, and each
+ * flow's embedded sequence numbers must advance without regression.
+ * The paper's total-order transmit check remains valid within a flow
+ * because both the driver and the NIC preserve posting order; across
+ * flows no order is promised, so interleaving is never an error.  The
+ * paper's fixed-size stream is the one-flow case.
  *
  * Two contracts, selected at construction:
  *  - lossless (transmit wire side): the path never drops, so a

@@ -20,7 +20,9 @@
 #include <vector>
 
 #include "net/endpoints.hh"
+#include "net/frame.hh"
 #include "sim/event_queue.hh"
+#include "sim/stats.hh"
 
 namespace tengig {
 

@@ -7,10 +7,11 @@
  * process and size model; departures are serialized onto the 10 Gb/s
  * link with real Ethernet wire timing (a frame occupies the wire for
  * preamble + frame + IFG byte times, and two flows can never overlap),
- * so an aggregate offered rate of 1.0 saturates the link exactly like
- * the single-flow FrameSource.  Every frame carries its flow id and a
- * per-flow sequence number in the integrity header, giving downstream
- * validators (FlowSink, DeviceDriver) a per-flow ordering contract.
+ * so an aggregate offered rate of 1.0 saturates the link exactly.  One
+ * paced fixed-size flow is the paper's receive stream.  Every frame
+ * carries its flow id and a per-flow sequence number in the integrity
+ * header, giving the downstream validator (FlowSink) a per-flow
+ * ordering contract.
  *
  * Attach a TraceRecorder to persist the exact departure schedule; a
  * TraceReplayer regenerates it bit-for-bit (trace.hh).

@@ -122,7 +122,9 @@ struct TrafficProfile
      */
     std::uint32_t flowIdBase = 0;
 
-    /** An empty profile means "use the legacy fixed-size knobs". */
+    /** An empty profile selects the paper workload: NicController runs
+     *  one fixed-size paced flow (flow 0) from NicConfig's
+     *  txPayloadBytes, or rxPayloadBytes at rxOfferedRate. */
     bool enabled() const { return !flows.empty(); }
 
     void validate() const;

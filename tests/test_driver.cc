@@ -1,7 +1,7 @@
 /**
  * @file
  * Unit tests for the host device-driver model: descriptor rings,
- * doorbells, replenishment, completion validation.
+ * doorbells, replenishment, completion delivery.
  */
 
 #include <gtest/gtest.h>
@@ -12,6 +12,15 @@ using namespace tengig;
 
 namespace {
 
+/** A transmit schedule of flow-0 frames of @p bytes each. */
+auto
+fixedSpec(unsigned bytes)
+{
+    return [bytes](std::uint64_t) {
+        return std::pair<std::uint32_t, unsigned>{0, bytes};
+    };
+}
+
 struct DriverFixture : public ::testing::Test
 {
     DriverFixture() : host(16 * 1024 * 1024)
@@ -19,7 +28,7 @@ struct DriverFixture : public ::testing::Test
         cfg.sendRingFrames = 8;
         cfg.recvPoolBuffers = 16;
         cfg.recvPostBatch = 4;
-        cfg.txPayloadBytes = 256;
+        cfg.txFrameSpec = fixedSpec(256);
     }
 
     HostMemory host;
@@ -103,65 +112,48 @@ TEST_F(DriverFixture, PrimeReceivePoolPostsAllBuffers)
     EXPECT_NE(bd.hostAddr, 0u);
 }
 
-TEST_F(DriverFixture, RxCompletionValidatesAndReplenishes)
+TEST_F(DriverFixture, RxCompletionDeliversAndReplenishes)
 {
     DeviceDriver drv(host, cfg);
+    std::vector<std::uint32_t> seqs;
+    drv.onRxDeliver([&](const FrameView &v) {
+        std::uint32_t seq = 0, flow = 0;
+        EXPECT_TRUE(checkFrameView(v, seq, flow));
+        EXPECT_EQ(v.len, txHeaderBytes + 300);
+        seqs.push_back(seq);
+    });
+    std::uint64_t doorbell = 0;
+    drv.onRecvDoorbell([&](std::uint64_t bds) { doorbell = bds; });
     drv.primeReceivePool();
 
-    // Simulate the NIC writing a valid frame into the first buffer.
-    BufferDesc bd = readBd(host, drv.recvBdRingBase(), 0);
-    std::vector<std::uint8_t> frame(txHeaderBytes + 300);
-    fillPayload(frame.data() + txHeaderBytes, 300, 0);
-    host.write(bd.hostAddr, frame.data(), frame.size());
-
-    drv.rxCompletion(bd.hostAddr,
-                     static_cast<std::uint32_t>(frame.size()));
-    EXPECT_EQ(drv.rxFramesDelivered(), 1u);
-    EXPECT_EQ(drv.rxIntegrityErrors(), 0u);
-    EXPECT_EQ(drv.rxOrderErrors(), 0u);
-    EXPECT_EQ(drv.rxPayloadBytes(), 300u);
-}
-
-TEST_F(DriverFixture, RxCompletionFlagsBadPayload)
-{
-    DeviceDriver drv(host, cfg);
-    drv.primeReceivePool();
-    BufferDesc bd = readBd(host, drv.recvBdRingBase(), 0);
-    drv.rxCompletion(bd.hostAddr, 200); // garbage contents
-    EXPECT_EQ(drv.rxIntegrityErrors(), 1u);
-}
-
-TEST_F(DriverFixture, RxGapFromDropIsNotAnOrderError)
-{
-    DeviceDriver drv(host, cfg);
-    drv.primeReceivePool();
-    auto deliver = [&](std::uint32_t seq) {
-        BufferDesc bd = readBd(host, drv.recvBdRingBase(), seq % 16);
-        std::vector<std::uint8_t> frame(txHeaderBytes + 64);
-        fillPayload(frame.data() + txHeaderBytes, 64, seq);
+    // Simulate the NIC writing valid frames into the first buffers.
+    for (std::uint32_t s = 0; s < 4; ++s) {
+        BufferDesc bd = readBd(host, drv.recvBdRingBase(), s);
+        std::vector<std::uint8_t> frame(txHeaderBytes + 300);
+        fillPayload(frame.data() + txHeaderBytes, 300, s);
         host.write(bd.hostAddr, frame.data(), frame.size());
         drv.rxCompletion(bd.hostAddr,
                          static_cast<std::uint32_t>(frame.size()));
-    };
-    deliver(0);
-    deliver(2); // gap (frame 1 dropped upstream): allowed
-    EXPECT_EQ(drv.rxOrderErrors(), 0u);
-    deliver(1); // regression: must be flagged
-    EXPECT_EQ(drv.rxOrderErrors(), 1u);
+    }
+    EXPECT_EQ(drv.rxFramesDelivered(), 4u);
+    EXPECT_EQ(seqs, (std::vector<std::uint32_t>{0, 1, 2, 3}));
+    // Four returned buffers make room for one batch of four.
+    EXPECT_EQ(drv.recvBdsPosted(), 20u);
+    EXPECT_EQ(doorbell, 20u);
 }
 
 TEST_F(DriverFixture, InvalidPayloadSizeIsFatal)
 {
-    cfg.txPayloadBytes = 4;
-    EXPECT_THROW(DeviceDriver(host, cfg), FatalError);
-    cfg.txPayloadBytes = 5000;
-    EXPECT_THROW(DeviceDriver(host, cfg), FatalError);
+    cfg.txFrameSpec = fixedSpec(4);
+    EXPECT_THROW(DeviceDriver(host, cfg).postSendFrames(1), FatalError);
+    cfg.txFrameSpec = fixedSpec(5000);
+    EXPECT_THROW(DeviceDriver(host, cfg).postSendFrames(1), FatalError);
 }
 
 TEST_F(DriverFixture, TsoPostsOnePairPerGroup)
 {
     cfg.tsoSegments = 4;
-    cfg.txPayloadBytes = 1000;
+    cfg.txFrameSpec = fixedSpec(1000);
     DeviceDriver drv(host, cfg);
     std::uint64_t doorbell = 0;
     drv.onSendDoorbell([&](std::uint64_t bds) { doorbell = bds; });
@@ -189,5 +181,23 @@ TEST_F(DriverFixture, TsoRejectsPartialGroups)
     DeviceDriver drv(host, cfg);
     EXPECT_THROW(drv.postSendFrames(3), FatalError);
     cfg.tsoSegments = 3; // does not divide the ring
+    EXPECT_THROW(DeviceDriver(host, cfg), FatalError);
+}
+
+TEST_F(DriverFixture, TsoRejectsMixedSizeGroups)
+{
+    // The NIC slices a group's payload buffer evenly, so one group
+    // cannot mix frame sizes.
+    cfg.tsoSegments = 4;
+    cfg.txFrameSpec = [](std::uint64_t i) {
+        return std::pair<std::uint32_t, unsigned>{0, i == 2 ? 500 : 1000};
+    };
+    DeviceDriver drv(host, cfg);
+    EXPECT_THROW(drv.postSendFrames(4), FatalError);
+}
+
+TEST_F(DriverFixture, MissingTxSourceIsFatal)
+{
+    cfg.txFrameSpec = nullptr;
     EXPECT_THROW(DeviceDriver(host, cfg), FatalError);
 }

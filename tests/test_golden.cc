@@ -57,13 +57,13 @@ struct Golden
 };
 
 constexpr Golden goldens[] = {
-    {"DefaultDuplex", 0x8db396a10a918d7full, 0x401f7f1956b421bcull,
+    {"DefaultDuplex", 0xe7280179e7fd7419ull, 0x64d6264d5b76740bull,
      0x787ea4850b2015f2ull},
     {"ImixEightFlows", 0x7f7d4ef8c3809f7full, 0x827c6624db95a022ull,
      0x4304a537fd6cd4b3ull},
     {"ImixRmw", 0xa7150c112f6361e3ull, 0xb16bc87e81ed8eb0ull,
      0xea8cbf4badfc6aa6ull},
-    {"TaskLevelDuplex", 0xeb3529d93b42281dull, 0xa91558e8f10d4ce7ull,
+    {"TaskLevelDuplex", 0x05cd1ae2f240e0d3ull, 0x1f8396c6d5196f9bull,
      0x17a5984e255101c2ull},
     {"VfIsolationStorm", 0x8390311d97b63316ull, 0xd130cf3e6172cd99ull,
      0xd8f646087ac62a64ull},
@@ -71,9 +71,9 @@ constexpr Golden goldens[] = {
      0x43a4f012ca9a9933ull},
     {"FleetRing", 0x1222d16764a8d935ull, 0xb1c9e1422ff8feafull,
      0x95d8032d54da1bb8ull},
-    {"QuietReceive", 0x7d1f0a003cf6a1cfull, 0x651389b6b876ecd6ull,
+    {"QuietReceive", 0xab97c55beb60635eull, 0x662877d2b281caf7ull,
      0xc88c13ce74ad8615ull},
-    {"TsoDuplex", 0x36b6dcc6ec12deccull, 0x8b5090d17fe44bdbull,
+    {"TsoDuplex", 0x1668a05526d89aa6ull, 0x63b1586fad047b02ull,
      0xce708fba6d056040ull},
 };
 
@@ -307,7 +307,7 @@ fleetNode()
 } // namespace
 
 /// The paper defaults: 6 cores @ 200 MHz, frame-level firmware,
-/// 1472 B UDP each way on the legacy single-stream path.
+/// 1472 B UDP each way, one paced flow per direction.
 TEST(Golden, DefaultDuplex)
 {
     runShape("DefaultDuplex", NicConfig{});

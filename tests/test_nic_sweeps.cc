@@ -55,9 +55,8 @@ TEST_P(NicSweep, TxDeliversExactlyOnceInOrder)
     NicController nic(cfg);
     nic.runTxOnly(150, 100 * tickPerMs);
 
-    EXPECT_EQ(nic.frameSink().framesReceived(), 150u);
-    EXPECT_EQ(nic.frameSink().integrityErrors(), 0u);
-    EXPECT_EQ(nic.frameSink().orderErrors(), 0u);
+    EXPECT_EQ(nic.txFlowSink().framesReceived(), 150u);
+    EXPECT_EQ(nic.txFlowSink().errors(), 0u);
     EXPECT_EQ(nic.deviceDriver().txFramesConsumed(), 150u);
 }
 
@@ -80,8 +79,7 @@ TEST_P(NicSweep, RxDeliversInOrderWithIntactPayloads)
     nic.runRxOnly(150, 100 * tickPerMs);
 
     EXPECT_EQ(nic.deviceDriver().rxFramesDelivered(), 150u);
-    EXPECT_EQ(nic.deviceDriver().rxIntegrityErrors(), 0u);
-    EXPECT_EQ(nic.deviceDriver().rxOrderErrors(), 0u);
+    EXPECT_EQ(nic.rxFlowSink().errors(), 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -94,7 +94,7 @@ TEST(FlowFrame, RoundTripsFlowAndSequence)
     EXPECT_EQ(flow, 1234u);
     EXPECT_EQ(seq, 567u);
 
-    // The flow-0 legacy checker rejects frames from other flows.
+    // The flow-0 checker rejects frames from other flows.
     std::uint32_t s2 = 0;
     EXPECT_FALSE(checkPayload(fd.bytes.data() + txHeaderBytes,
                               static_cast<unsigned>(fd.bytes.size()) -
@@ -127,17 +127,54 @@ TEST(TrafficEngine, DifferentSeedProducesDifferentSchedule)
     EXPECT_NE(generateTrace(p, 2000), generateTrace(q, 2000));
 }
 
-TEST(TrafficEngine, SinglePacedFlowMatchesFrameSourcePacing)
+TEST(TrafficEngine, SinglePacedFlowPacesAtLineRate)
 {
-    // One paced max-size flow at rate 1.0 must reproduce the legacy
-    // FrameSource schedule: one frame per 1518-byte wire time.
+    // One paced max-size flow at rate 1.0 is the paper's receive
+    // stream: 1514-byte frames (1518 minus CRC), one per 1518-byte wire
+    // time, the first one wire time after start.
     TrafficProfile p = TrafficProfile::uniform(
         1, SizeModel::fixed(udpMaxPayloadBytes), ArrivalModel::paced(),
         1.0, 7);
-    std::vector<Tick> ticks = emissionTicks(p, 6);
+    EventQueue eq;
+    std::vector<Tick> ticks;
+    TrafficEngine eng(eq, p, [&](FrameData &&fd) {
+        ticks.push_back(eq.curTick());
+        EXPECT_EQ(fd.size(), 1514u);
+        return true;
+    });
+    eng.setFrameLimit(6);
+    eng.start();
+    eq.run();
     ASSERT_EQ(ticks.size(), 6u);
+    EXPECT_EQ(ticks[0], wireTimeForFrame(1518));
     for (std::size_t i = 1; i < ticks.size(); ++i)
         EXPECT_EQ(ticks[i] - ticks[i - 1], wireTimeForFrame(1518));
+}
+
+TEST(TrafficEngine, HalfRateDoublesSpacing)
+{
+    TrafficProfile p = TrafficProfile::uniform(
+        1, SizeModel::fixed(udpMaxPayloadBytes), ArrivalModel::paced(),
+        0.5, 7);
+    std::vector<Tick> ticks = emissionTicks(p, 3);
+    ASSERT_EQ(ticks.size(), 3u);
+    EXPECT_EQ(ticks[1] - ticks[0], 2 * wireTimeForFrame(1518));
+}
+
+TEST(TrafficEngine, CountsDrops)
+{
+    TrafficProfile p = TrafficProfile::uniform(
+        1, SizeModel::fixed(100), ArrivalModel::paced(), 1.0, 7);
+    EventQueue eq;
+    int n = 0;
+    TrafficEngine eng(eq, p, [&](FrameData &&) {
+        return (++n % 2) == 0; // drop every other frame
+    });
+    eng.setFrameLimit(10);
+    eng.start();
+    eq.run();
+    EXPECT_EQ(eng.framesOffered(), 10u);
+    EXPECT_EQ(eng.framesDropped(), 5u);
 }
 
 TEST(TrafficEngine, PoissonInterArrivalsMatchExponentialStatistics)
@@ -300,6 +337,7 @@ TEST(FlowSinkTest, InterleavedInOrderFlowsPass)
     ASSERT_NE(sink.flow(2), nullptr);
     EXPECT_EQ(sink.flow(2)->frames, 10u);
     EXPECT_EQ(sink.framesReceived(), 40u);
+    EXPECT_EQ(sink.payloadBytesReceived(), 40u * 256u);
 }
 
 TEST(FlowSinkTest, CatchesInjectedReorder)
@@ -335,6 +373,35 @@ TEST(FlowSinkTest, LossyContractToleratesGapsButNotDuplicates)
     deliverFrame(sink, 0, 5); // replayed duplicate
     EXPECT_EQ(sink.duplicateErrors(), 1u);
     EXPECT_EQ(sink.errors(), 1u);
+}
+
+TEST(FlowSinkTest, SplitsGapsFromDuplicatesOnOneFlow)
+{
+    // 0, 3 (frames 1-2 missing: one gap event), then 1 (a regression).
+    FlowSink sink(/*lossless=*/true);
+    for (std::uint32_t seq : {0u, 3u, 1u})
+        deliverFrame(sink, 0, seq);
+    EXPECT_EQ(sink.gapErrors(), 1u);
+    EXPECT_EQ(sink.duplicateErrors(), 1u);
+    EXPECT_EQ(sink.errors(), 2u);
+}
+
+TEST(FlowSinkTest, ExactDuplicateCountsOnlyAsDuplicate)
+{
+    FlowSink sink(/*lossless=*/true);
+    for (std::uint32_t seq : {0u, 1u, 1u, 2u})
+        deliverFrame(sink, 0, seq);
+    EXPECT_EQ(sink.gapErrors(), 0u);
+    EXPECT_EQ(sink.duplicateErrors(), 1u);
+}
+
+TEST(FlowSinkTest, FlagsTruncatedFrame)
+{
+    FlowSink sink(/*lossless=*/true);
+    std::vector<std::uint8_t> bytes(40);
+    sink.deliver(bytes.data(), 40);
+    EXPECT_EQ(sink.integrityErrors(), 1u);
+    EXPECT_EQ(sink.flowsSeen(), 0u);
 }
 
 TEST(FlowSinkTest, CatchesCorruptPayload)
