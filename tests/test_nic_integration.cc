@@ -9,6 +9,7 @@
 
 #include <unistd.h>
 
+#include <cmath>
 #include <fstream>
 #include <string>
 
@@ -217,4 +218,48 @@ TEST(NicConfigErrors, ZeroSdramIsTooSmallForTheFrameSlots)
         std::string msg = e.what();
         EXPECT_NE(msg.find("sdram too small"), std::string::npos) << msg;
     }
+}
+
+namespace {
+
+/** Building @p cfg must raise a FatalError whose message names
+ *  @p what. */
+void
+expectFatal(const NicConfig &cfg, const std::string &what)
+{
+    try {
+        NicController nic(cfg);
+        ADD_FAILURE() << "expected a FatalError naming \"" << what << "\"";
+    } catch (const FatalError &e) {
+        std::string msg = e.what();
+        EXPECT_NE(msg.find(what), std::string::npos) << msg;
+    }
+}
+
+} // namespace
+
+TEST(NicConfigErrors, NanOfferedRateIsFatal)
+{
+    NicConfig cfg;
+    cfg.rxOfferedRate = std::nan("");
+    expectFatal(cfg, "offered rate must be in (0, 1]");
+}
+
+TEST(NicConfigErrors, RxPayloadOutsideUdpRangeIsFatal)
+{
+    for (unsigned bytes : {0u, 9000u}) {
+        NicConfig cfg;
+        cfg.rxPayloadBytes = bytes;
+        expectFatal(cfg, "payload size must be in [18, 1472], got " +
+                             std::to_string(bytes));
+    }
+}
+
+TEST(NicConfigErrors, TsoWithTxTrafficProfileIsFatal)
+{
+    NicConfig cfg;
+    cfg.firmware.tsoSegments = 4;
+    cfg.txTraffic = TrafficProfile::uniform(
+        2, SizeModel::fixed(1472), ArrivalModel::paced(), 1.0, 1);
+    expectFatal(cfg, "TSO needs one payload size per group");
 }
