@@ -1,12 +1,13 @@
 /**
  * @file
  * Unit tests for the host device-driver model: descriptor rings,
- * doorbells, replenishment, completion delivery.
+ * doorbells, replenishment, completion delivery into a validator.
  */
 
 #include <gtest/gtest.h>
 
 #include "host/driver.hh"
+#include "traffic/flow_sink.hh"
 
 using namespace tengig;
 
@@ -31,6 +32,11 @@ struct DriverFixture : public ::testing::Test
         cfg.txFrameSpec = fixedSpec(256);
     }
 
+    /** The NIC writes a valid frame of @p seq into receive-ring slot
+     *  @p slot and completes it. */
+    void completeFrame(DeviceDriver &drv, unsigned slot, std::uint32_t seq,
+                       unsigned payload);
+
     HostMemory host;
     DeviceDriver::Config cfg;
 };
@@ -41,6 +47,17 @@ readBd(HostMemory &host, Addr ring, unsigned idx)
     BufferDesc bd;
     host.read(ring + idx * BufferDesc::bytes, &bd, sizeof(bd));
     return bd;
+}
+
+void
+DriverFixture::completeFrame(DeviceDriver &drv, unsigned slot,
+                             std::uint32_t seq, unsigned payload)
+{
+    BufferDesc bd = readBd(host, drv.recvBdRingBase(), slot);
+    std::vector<std::uint8_t> frame(txHeaderBytes + payload);
+    fillPayload(frame.data() + txHeaderBytes, payload, seq);
+    host.write(bd.hostAddr, frame.data(), frame.size());
+    drv.rxCompletion(bd.hostAddr, static_cast<std::uint32_t>(frame.size()));
 }
 
 } // namespace
@@ -112,34 +129,51 @@ TEST_F(DriverFixture, PrimeReceivePoolPostsAllBuffers)
     EXPECT_NE(bd.hostAddr, 0u);
 }
 
-TEST_F(DriverFixture, RxCompletionDeliversAndReplenishes)
+TEST_F(DriverFixture, RxCompletionValidatesAndReplenishes)
 {
     DeviceDriver drv(host, cfg);
-    std::vector<std::uint32_t> seqs;
-    drv.onRxDeliver([&](const FrameView &v) {
-        std::uint32_t seq = 0, flow = 0;
-        EXPECT_TRUE(checkFrameView(v, seq, flow));
-        EXPECT_EQ(v.len, txHeaderBytes + 300);
-        seqs.push_back(seq);
-    });
+    FlowSink sink(/*lossless=*/false);
+    drv.onRxDeliver([&](const FrameView &v) { sink.deliver(v); });
     std::uint64_t doorbell = 0;
     drv.onRecvDoorbell([&](std::uint64_t bds) { doorbell = bds; });
     drv.primeReceivePool();
 
-    // Simulate the NIC writing valid frames into the first buffers.
-    for (std::uint32_t s = 0; s < 4; ++s) {
-        BufferDesc bd = readBd(host, drv.recvBdRingBase(), s);
-        std::vector<std::uint8_t> frame(txHeaderBytes + 300);
-        fillPayload(frame.data() + txHeaderBytes, 300, s);
-        host.write(bd.hostAddr, frame.data(), frame.size());
-        drv.rxCompletion(bd.hostAddr,
-                         static_cast<std::uint32_t>(frame.size()));
-    }
+    for (std::uint32_t s = 0; s < 4; ++s)
+        completeFrame(drv, s, s, 300);
     EXPECT_EQ(drv.rxFramesDelivered(), 4u);
-    EXPECT_EQ(seqs, (std::vector<std::uint32_t>{0, 1, 2, 3}));
+    EXPECT_EQ(sink.framesReceived(), 4u);
+    EXPECT_EQ(sink.errors(), 0u);
+    EXPECT_EQ(sink.payloadBytesReceived(), 4u * 300u);
     // Four returned buffers make room for one batch of four.
     EXPECT_EQ(drv.recvBdsPosted(), 20u);
     EXPECT_EQ(doorbell, 20u);
+}
+
+TEST_F(DriverFixture, RxCompletionFlagsBadPayload)
+{
+    DeviceDriver drv(host, cfg);
+    FlowSink sink(/*lossless=*/false);
+    drv.onRxDeliver([&](const FrameView &v) { sink.deliver(v); });
+    drv.primeReceivePool();
+    BufferDesc bd = readBd(host, drv.recvBdRingBase(), 0);
+    drv.rxCompletion(bd.hostAddr, 200); // garbage contents
+    EXPECT_EQ(drv.rxFramesDelivered(), 1u);
+    EXPECT_EQ(sink.integrityErrors(), 1u);
+}
+
+TEST_F(DriverFixture, RxGapFromDropIsNotAnOrderError)
+{
+    DeviceDriver drv(host, cfg);
+    FlowSink sink(/*lossless=*/false);
+    drv.onRxDeliver([&](const FrameView &v) { sink.deliver(v); });
+    drv.primeReceivePool();
+    completeFrame(drv, 0, 0, 64);
+    completeFrame(drv, 1, 2, 64); // gap (frame 1 dropped upstream)
+    EXPECT_EQ(sink.gapErrors(), 1u);
+    EXPECT_EQ(sink.errors(), 0u);
+    completeFrame(drv, 2, 1, 64); // regression: must be flagged
+    EXPECT_EQ(sink.duplicateErrors(), 1u);
+    EXPECT_EQ(sink.errors(), 1u);
 }
 
 TEST_F(DriverFixture, InvalidPayloadSizeIsFatal)
