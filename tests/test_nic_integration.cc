@@ -245,13 +245,17 @@ TEST(NicConfigErrors, NanOfferedRateIsFatal)
     expectFatal(cfg, "offered rate must be in (0, 1]");
 }
 
-TEST(NicConfigErrors, RxPayloadOutsideUdpRangeIsFatal)
+TEST(NicConfigErrors, PayloadOutsideUdpRangeIsFatal)
 {
     for (unsigned bytes : {0u, 9000u}) {
-        NicConfig cfg;
-        cfg.rxPayloadBytes = bytes;
-        expectFatal(cfg, "payload size must be in [18, 1472], got " +
-                             std::to_string(bytes));
+        std::string want = "payload size must be in [18, 1472], got " +
+                           std::to_string(bytes);
+        NicConfig rx;
+        rx.rxPayloadBytes = bytes;
+        expectFatal(rx, want);
+        NicConfig tx;
+        tx.txPayloadBytes = bytes;
+        expectFatal(tx, want);
     }
 }
 
