@@ -113,6 +113,41 @@ TEST(PayloadIntegrity, DistinctSequencesProduceDistinctPatterns)
     EXPECT_NE(a, b);
 }
 
+TEST(PayloadIntegrity, PatternBytesArePinned)
+{
+    // 64-bit FNV-1a of whole fillPayload outputs.  The pattern lengths
+    // (len - 16) cover empty, sub-word, odd and multiple-of-16 tails,
+    // so any rewrite of the generator must keep every byte in place.
+    struct Case
+    {
+        unsigned len;
+        std::uint32_t seq;
+        std::uint32_t flow;
+        std::uint64_t fnv;
+    };
+    const Case cases[] = {
+        {16, 3, 0, 0xf8c411c636590524ull},
+        {18, 7, 0, 0x92b92252a7ff754aull},
+        {33, 1, 2, 0xb2a911a91cb7c26dull},
+        {63, 12345, 9, 0xa787735b8ab8ae9aull},
+        {255, 4000000000u, 0, 0x7b1f622a4f0281a2ull},
+        {1471, 99, maxFlowId, 0xa2c9045b1db81534ull},
+        {1472, 42, 3, 0x6d16e73027352a4bull},
+    };
+    for (const Case &c : cases) {
+        std::vector<std::uint8_t> buf(c.len);
+        fillPayload(buf.data(), c.len, c.seq, c.flow);
+        std::uint64_t h = 0xcbf29ce484222325ull;
+        for (std::uint8_t b : buf) {
+            h ^= b;
+            h *= 0x100000001b3ull;
+        }
+        EXPECT_EQ(h, c.fnv) << "len " << c.len << " seq " << c.seq
+                            << " flow " << c.flow << ": 0x" << std::hex
+                            << h;
+    }
+}
+
 TEST(FrameDescriptor, MaterializedBytesMatchTheDescriptorContract)
 {
     // A descriptor *is* the claim that the frame's bytes are a filler
