@@ -22,9 +22,10 @@
  *
  * On a mismatch the failure names the shape, the component and both
  * fingerprints, and the current stat-tree JSON is written to
- * golden/<shape>.stats.json under the test's build directory for
- * diffing against a build that still matches.  The stats and trace
- * fingerprints are the plain FNV-1a of those JSON texts.
+ * golden/<shape>.stats.json under the test's build directory (and the
+ * Chrome trace to golden/<shape>.trace.json) for diffing against a
+ * build that still matches.  The stats and trace fingerprints are the
+ * plain FNV-1a of those JSON texts.
  *
  * Updating a fingerprint is a behaviour change: edit the constant in
  * the table below and justify the edit in CHANGES.md.
@@ -176,11 +177,12 @@ fnvText(const std::string &s)
     return f.value();
 }
 
-/** Compare one shape's fingerprints; dump its stat tree on mismatch. */
+/** Compare one shape's fingerprints; on a mismatch dump its stat tree
+ *  and, when @p trace_json is given, its Chrome trace. */
 void
 expectGolden(const std::string &shape, const char *third,
              std::uint64_t results, const std::string &stats,
-             std::uint64_t trace)
+             std::uint64_t trace, const std::string *trace_json = nullptr)
 {
     const Golden &g = golden(shape);
     struct Component
@@ -210,6 +212,11 @@ expectGolden(const std::string &shape, const char *third,
     std::filesystem::path out = dir / (shape + ".stats.json");
     std::ofstream(out) << stats;
     ADD_FAILURE() << shape << ": current stat tree written to " << out;
+    if (trace_json) {
+        out = dir / (shape + ".trace.json");
+        std::ofstream(out) << *trace_json;
+        ADD_FAILURE() << shape << ": current trace written to " << out;
+    }
 }
 
 constexpr Tick warmupTicks = tickPerMs / 4;
@@ -226,8 +233,9 @@ runShape(const std::string &shape, const NicConfig &cfg, Run run)
     NicResults r = run(nic);
     Fnv res;
     hashResults(res, r);
+    std::string trace = log.str();
     expectGolden(shape, "trace", res.value(),
-                 nic.statTree().toJson().dump(2), fnvText(log.str()));
+                 nic.statTree().toJson().dump(2), fnvText(trace), &trace);
 }
 
 void
