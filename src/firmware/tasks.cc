@@ -445,8 +445,8 @@ FwTasks::trySendFrame(OpRecorder &rec)
             state.dmaReadReserved -= 2;
             // Payload lands right after the 42-byte header --
             // misaligned in SDRAM, exactly the paper's inefficiency.
-            // Posted atomically so even an idle engine sees the pair
-            // and can fuse it into one SDRAM burst-pair request.
+            // Both FIFO slots were reserved at claim time, so neither
+            // push can be refused.
             // If either transfer is abandoned under fault injection
             // the SDRAM slot holds stale bytes; poison the frame so
             // the commit step skips it instead of transmitting junk.
@@ -454,19 +454,21 @@ FwTasks::trySendFrame(OpRecorder &rec)
                 state.txPoison[seq % state.config.txSlots] = 1;
             };
             unsigned vf = txVfOf ? txVfOf(seq) : 0;
-            bool ok = dmaRead.pushPair(
-                DmaCommand{DmaCommand::Kind::HostToSdram,
-                           info.hostHdrAddr, slot, info.hdrLen, 0,
-                           nullptr, poison, vf},
-                DmaCommand{DmaCommand::Kind::HostToSdram,
-                           info.hostPayAddr, slot + info.hdrLen,
-                           info.payLen, info.payLen, [this, seq] {
-                               state.txCmdsCompleted++;
-                               hwCounterWrite(FwState::CtrTxCmdsCompleted,
-                                              state.txCmdsCompleted,
-                                              ids.dmaRead);
-                           },
-                           poison, vf});
+            bool ok =
+                dmaRead.push(DmaCommand{DmaCommand::Kind::HostToSdram,
+                                        info.hostHdrAddr, slot,
+                                        info.hdrLen, 0, nullptr, poison,
+                                        vf}) &&
+                dmaRead.push(DmaCommand{
+                    DmaCommand::Kind::HostToSdram, info.hostPayAddr,
+                    slot + info.hdrLen, info.payLen, info.payLen,
+                    [this, seq] {
+                        state.txCmdsCompleted++;
+                        hwCounterWrite(FwState::CtrTxCmdsCompleted,
+                                       state.txCmdsCompleted,
+                                       ids.dmaRead);
+                    },
+                    poison, vf});
             panic_if(!ok, "[fw send] dma read FIFO overflow despite "
                      "reservation @tick ", dmaRead.curTick());
             state.txCmdSeq[state.txCmdsPushed % state.config.txSlots] =

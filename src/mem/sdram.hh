@@ -69,20 +69,6 @@ class GddrSdram : public Clocked
     void request(unsigned requester, Addr addr, std::size_t len,
                  bool is_write, Callback cb);
 
-    /**
-     * Issue two bursts from one requester as a fusable chain (the TX
-     * header + payload shape).  Timing, callbacks and counters are
-     * bit-identical to two back-to-back request() calls where the
-     * second is issued at the first's completion; the win is purely
-     * host-side: when the bus is otherwise idle the pair completes
-     * with two heap events instead of three (the second grant's
-     * arbitration is replayed arithmetically at grant time and undone
-     * if a competing request arrives before the chain boundary).
-     */
-    void requestPair(unsigned requester, Addr addr1, std::size_t len1,
-                     Callback cb1, Addr addr2, std::size_t len2,
-                     Callback cb2, bool is_write);
-
     /// @name Untimed storage access
     /// @{
     void writeBytes(Addr addr, const std::uint8_t *src, std::size_t len);
@@ -109,10 +95,6 @@ class GddrSdram : public Clocked
     std::uint64_t rowActivations() const { return activations.value(); }
     std::uint64_t burstCount() const { return bursts.value(); }
     std::uint64_t busyTickCount() const { return busyTicks.value(); }
-    /** Burst pairs that completed as one fused chain. */
-    std::uint64_t chainedBursts() const { return chained.value(); }
-    /** Chains rolled back by a competing same-window arrival. */
-    std::uint64_t unbatchedChains() const { return unbatched.value(); }
 
     /** Consumed (wire-level) bandwidth in Gb/s over [0, now]. */
     double
@@ -147,26 +129,10 @@ class GddrSdram : public Clocked
         std::size_t len;
         bool isWrite;
         Callback cb;
-        bool chainHead = false;
-        bool chainTail = false;
     };
-
-    /** Per-burst wire geometry + row-walk timing (openRow updated as a
-     *  side effect; undo entries recorded when @p undo is given). */
-    struct BurstTiming
-    {
-        std::size_t wireBytes;
-        Cycles activateCycles;
-        unsigned activations;
-    };
-    BurstTiming
-    burstTiming(const Burst &b,
-                std::vector<std::pair<unsigned, std::int64_t>> *undo);
 
     void scheduleArbitration();
     void arbitrate();
-    void chainBoundary();
-    void unbatchChain();
     unsigned bankOf(Addr addr) const;
     std::uint64_t rowOf(Addr addr) const;
 
@@ -183,27 +149,11 @@ class GddrSdram : public Clocked
     Tick busUntil = 0;
     unsigned traceLane = 0xffffffffu; //!< obs::noTraceLane
 
-    /// @name In-flight batched chain (at most one; see arbitrate())
-    /// @{
-    bool chainPending = false;   //!< tail pre-granted, boundary not reached
-    bool chainRolled = false;    //!< chain unbatched by a competing arrival
-    unsigned chainRequester = 0;
-    Tick chainDone1 = 0;         //!< part-1 completion (chain boundary)
-    Tick chainStart2 = 0;
-    Tick chainDone2 = 0;
-    Burst chainTailBurst;        //!< tail while pre-granted (off queue)
-    BurstTiming chainTailTiming{};
-    std::vector<std::pair<unsigned, std::int64_t>> chainUndo;
-    EventId chainTailEvent = invalidEventId;
-    /// @}
-
     stats::Counter useful;
     stats::Counter transferred;
     stats::Counter activations;
     stats::Counter bursts;
     stats::Counter busyTicks;
-    stats::Counter chained;
-    stats::Counter unbatched;
 };
 
 } // namespace tengig

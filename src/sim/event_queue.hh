@@ -51,11 +51,7 @@ constexpr EventId invalidEventId = 0;
  */
 enum class EventPriority : int
 {
-    HardwareProgress = -2,  //!< assist progress-pointer updates
-    ChainedCompletion = -1, //!< batched-burst mid-chain completion: runs
-                            //!< after every hardware event at its tick so
-                            //!< same-tick arrivals can still unbatch the
-                            //!< chain (see GddrSdram burst chaining)
+    HardwareProgress = -2, //!< assist progress-pointer updates
     Default = 0,
     Cpu = 1,               //!< core activity runs after hardware at a tick
     Stats = 100,           //!< sampling runs after everything else

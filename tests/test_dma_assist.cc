@@ -162,26 +162,27 @@ TEST_F(DmaFixture, SpadTransferMovesOneWordPerCycle)
     EXPECT_LE(end - start, 64 * 5000u);
 }
 
-TEST_F(DmaFixture, PushPairIsAtomicAndFusesTheSdramBursts)
+TEST_F(DmaFixture, HeaderThenPayloadMoveTheFrameAsADescriptor)
 {
-    // The TX shape: a completion-less header command followed by the
-    // SDRAM-contiguous payload of the same frame.  Posted as a pair,
-    // an idle engine still sees both and issues one fused burst pair.
+    // The TX shape, posted as the firmware posts it: a completion-less
+    // header command, then the SDRAM-contiguous payload of the same
+    // frame.  Each moves as one plain SDRAM burst.
     FrameDesc d{1, 0, 0, 1472};
     host.store().putFrame(0x1000, d);
 
     bool done = false;
     eq.schedule(0, [&] {
-        ASSERT_TRUE(assist.pushPair(
+        ASSERT_TRUE(assist.push(
             DmaCommand{DmaCommand::Kind::HostToSdram, 0x1000, 0x8000,
-                       txHeaderBytes, 0, nullptr},
+                       txHeaderBytes, 0, nullptr}));
+        ASSERT_TRUE(assist.push(
             DmaCommand{DmaCommand::Kind::HostToSdram,
                        0x1000 + txHeaderBytes, 0x8000 + txHeaderBytes,
                        1472, 1472, [&] { done = true; }}));
     });
     eq.run();
     EXPECT_TRUE(done);
-    EXPECT_EQ(ram.chainedBursts(), 1u);
+    EXPECT_EQ(ram.burstCount(), 2u);
     EXPECT_EQ(assist.commandsCompleted(), 2u);
     EXPECT_EQ(assist.headerBytesMoved(), txHeaderBytes);
     EXPECT_EQ(assist.payloadBytesMoved(), 1472u);
@@ -194,67 +195,26 @@ TEST_F(DmaFixture, PushPairIsAtomicAndFusesTheSdramBursts)
     EXPECT_EQ(host.store().materializations(), 0u);
 }
 
-TEST_F(DmaFixture, PushPairRejectsWhenTheFifoCannotTakeBoth)
+TEST_F(DmaFixture, PayloadBurstStartsOnTheHeaderCompletionEdge)
 {
-    // fifo depth is 4; three queued commands leave room for only one.
+    // The engine issues the payload's burst from the header's
+    // completion, so the frame holds the bus back to back.  Header:
+    // 42 B at 0x8000 is 48 wire bytes, 3 beats + 1, plus the row
+    // activation.  Payload: 1472 B at 0x802a is 1480 wire bytes, 93
+    // beats + 1, in the row the header opened.
+    Tick hdr_done = 0, pay_done = 0;
     eq.schedule(0, [&] {
-        for (int i = 0; i < 3; ++i)
-            assist.push(DmaCommand{DmaCommand::Kind::HostToSdram, 0,
-                                   0x100, 64, 0, nullptr});
-        EXPECT_FALSE(assist.pushPair(
-            DmaCommand{DmaCommand::Kind::HostToSdram, 0, 0x200, 64, 0,
-                       nullptr},
-            DmaCommand{DmaCommand::Kind::HostToSdram, 0, 0x240, 64, 0,
-                       nullptr}));
-        EXPECT_EQ(assist.depth(), 3u); // neither half was enqueued
+        assist.push(DmaCommand{DmaCommand::Kind::HostToSdram, 0x1000,
+                               0x8000, txHeaderBytes, 0,
+                               [&] { hdr_done = eq.curTick(); }});
+        assist.push(DmaCommand{DmaCommand::Kind::HostToSdram,
+                               0x1000 + txHeaderBytes,
+                               0x8000 + txHeaderBytes, 1472, 1472,
+                               [&] { pay_done = eq.curTick(); }});
     });
     eq.run();
-    EXPECT_EQ(assist.commandsCompleted(), 3u);
-}
-
-TEST_F(DmaFixture, PushPairCompletionTimingMatchesTwoPushes)
-{
-    // Same commands, two engines: pair-posted vs singly-posted while
-    // idle (the engine starts the first command before the second
-    // push lands, so no fusion happens there).  The pair must complete
-    // at exactly the same tick -- batching is host-side only.
-    FrameDesc d{1, 0, 0, 1472};
-    host.store().putFrame(0x1000, d);
-
-    Tick pairDone = 0;
-    eq.schedule(0, [&] {
-        assist.pushPair(
-            DmaCommand{DmaCommand::Kind::HostToSdram, 0x1000, 0x8000,
-                       txHeaderBytes, 0, nullptr},
-            DmaCommand{DmaCommand::Kind::HostToSdram,
-                       0x1000 + txHeaderBytes, 0x8000 + txHeaderBytes,
-                       1472, 1472, [&](){ pairDone = eq.curTick(); }});
-    });
-    eq.run();
-
-    EventQueue eq2;
-    ClockDomain cpu2("cpu", 5000), bus2("membus", 2000);
-    Scratchpad spad2(eq2, cpu2, 8, 64 * 1024, 4);
-    GddrSdram ram2(eq2, bus2, GddrSdram::Config{});
-    HostMemory host2(1024 * 1024);
-    DmaAssist assist2(eq2, cpu2, spad2, ram2, host2, 6, 0, 4);
-    host2.store().putFrame(0x1000, d);
-    Tick singleDone = 0;
-    eq2.schedule(0, [&] {
-        assist2.push(DmaCommand{DmaCommand::Kind::HostToSdram, 0x1000,
-                                0x8000, txHeaderBytes, 0, nullptr});
-        assist2.push(DmaCommand{DmaCommand::Kind::HostToSdram,
-                                0x1000 + txHeaderBytes,
-                                0x8000 + txHeaderBytes, 1472, 1472,
-                                [&](){ singleDone = eq2.curTick(); }});
-    });
-    eq2.run();
-
-    EXPECT_GT(pairDone, 0u);
-    EXPECT_EQ(pairDone, singleDone);
-    EXPECT_EQ(ram.chainedBursts(), 1u);
-    EXPECT_EQ(ram2.chainedBursts(), 0u); // engine started the head alone
-    EXPECT_EQ(ram.burstCount(), ram2.burstCount());
-    EXPECT_EQ(ram.busyTickCount(), ram2.busyTickCount());
-    EXPECT_EQ(ram.transferredBytes(), ram2.transferredBytes());
+    EXPECT_EQ(hdr_done, (9 + 3 + 1) * 2000u);
+    EXPECT_EQ(pay_done, hdr_done + (93 + 1) * 2000u);
+    EXPECT_EQ(ram.busyTickCount(), pay_done);
+    EXPECT_EQ(ram.rowActivations(), 1u);
 }

@@ -238,12 +238,6 @@ TEST_F(DmaFaultFixture, FifoFullRejectIsCounted)
             DmaCommand::Kind::HostToSdram, 0x1000, 0x8000, 64, 0,
             nullptr, nullptr}));
         EXPECT_EQ(assist.fifoFullRejects(), 1u);
-        EXPECT_FALSE(assist.pushPair(
-            DmaCommand{DmaCommand::Kind::HostToSdram, 0, 0x200, 64, 0,
-                       nullptr, nullptr},
-            DmaCommand{DmaCommand::Kind::HostToSdram, 0, 0x240, 64, 0,
-                       nullptr, nullptr}));
-        EXPECT_EQ(assist.fifoFullRejects(), 2u);
     });
     eq.run();
     EXPECT_EQ(assist.commandsCompleted(), 4u);

@@ -58,24 +58,24 @@ struct Golden
 };
 
 constexpr Golden goldens[] = {
-    {"DefaultDuplex", 0xe7280179e7fd7419ull, 0x64d6264d5b76740bull,
-     0x787ea4850b2015f2ull},
-    {"ImixEightFlows", 0x7f7d4ef8c3809f7full, 0x827c6624db95a022ull,
-     0x4304a537fd6cd4b3ull},
-    {"ImixRmw", 0xa7150c112f6361e3ull, 0xb16bc87e81ed8eb0ull,
-     0xea8cbf4badfc6aa6ull},
-    {"TaskLevelDuplex", 0x05cd1ae2f240e0d3ull, 0x1f8396c6d5196f9bull,
-     0x17a5984e255101c2ull},
-    {"VfIsolationStorm", 0x8390311d97b63316ull, 0xd130cf3e6172cd99ull,
+    {"DefaultDuplex", 0xe7280179e7fd7419ull, 0xe9c56661414d0ea3ull,
+     0x0312d484957ddd78ull},
+    {"ImixEightFlows", 0x7f7d4ef8c3809f7full, 0x1f7ae50ac7904746ull,
+     0x275c68ffa942aeb3ull},
+    {"ImixRmw", 0xa7150c112f6361e3ull, 0x57513ab720009d22ull,
+     0x2120adcce44d0b2eull},
+    {"TaskLevelDuplex", 0x05cd1ae2f240e0d3ull, 0x6cd172d0caa27a39ull,
+     0x384fb4cfe3e452aeull},
+    {"VfIsolationStorm", 0x8390311d97b63316ull, 0x8408f1c6665e0442ull,
      0xd8f646087ac62a64ull},
-    {"FaultStorm", 0x20e091f404dfa0ecull, 0xa22bdfa91c4992a6ull,
+    {"FaultStorm", 0x20e091f404dfa0ecull, 0x102938fd9116e257ull,
      0x43a4f012ca9a9933ull},
-    {"FleetRing", 0x1222d16764a8d935ull, 0xb1c9e1422ff8feafull,
+    {"FleetRing", 0x1222d16764a8d935ull, 0x5b1918f4d6e191dfull,
      0x95d8032d54da1bb8ull},
-    {"QuietReceive", 0xab97c55beb60635eull, 0x662877d2b281caf7ull,
+    {"QuietReceive", 0xab97c55beb60635eull, 0xd4147da20afa1fb4ull,
      0xc88c13ce74ad8615ull},
-    {"TsoDuplex", 0x1668a05526d89aa6ull, 0x63b1586fad047b02ull,
-     0xce708fba6d056040ull},
+    {"TsoDuplex", 0x1668a05526d89aa6ull, 0xd8b4ba660fb90e1full,
+     0x195a6afdb4b13fd8ull},
 };
 
 const Golden &
