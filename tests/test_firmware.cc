@@ -61,12 +61,18 @@ TEST(FirmwarePipeline, TxCountersRespectStageOrderThroughout)
 {
     NicController nic(smallConfig());
     nic.deviceDriver().postSendFrames(300);
+    nic.startRun();
     auto &eq = nic.eventQueue();
     // Sample invariants repeatedly while the pipeline runs.
     for (int i = 0; i < 40; ++i) {
         eq.runUntil(eq.curTick() + 20 * tickPerUs);
         checkTxInvariants(nic.firmwareState());
+        checkRxInvariants(nic.firmwareState());
     }
+    // The samples saw a moving pipeline, not an idle one.
+    const FwState &st = nic.firmwareState();
+    EXPECT_GE(st.macTxDone, 300u);
+    EXPECT_GT(st.rxCommitted, 0u);
 }
 
 TEST(FirmwarePipeline, DrainsToQuiescenceAfterFiniteWork)
