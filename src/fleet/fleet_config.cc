@@ -54,9 +54,10 @@ FleetConfig::validate() const
                  ": spurious retransmissions would break the "
                  "injected==recovered accounting (0 derives the bound)");
         for (std::size_t i = 0; i < nodes.size(); ++i)
-            fatal_if(nodes[i].txPaceRate <= 0.0,
+            fatal_if(!(nodes[i].txPaceRate > 0.0),
                      "reliable delivery requires paced transmit "
-                     "posting (node ", i, " has txPaceRate 0): a "
+                     "posting (node ", i, " has txPaceRate ",
+                     nodes[i].txPaceRate, "): a "
                      "wire-saturating source leaves the fabric no "
                      "headroom to drain retransmissions, and the "
                      "end-of-run drain phase needs a quiescable "

@@ -99,6 +99,9 @@ NicController::build()
     } else if (cfg.faults.enabled()) {
         injector = std::make_unique<FaultInjector>(cfg.faults, eq);
     }
+    fatal_if(!(cfg.txPaceRate >= 0.0 && cfg.txPaceRate <= 1.0),
+             "txPaceRate must be a fraction of line rate in [0, 1] "
+             "(0 = unpaced), got ", cfg.txPaceRate);
     fatal_if(cfg.txPaceRate > 0.0 &&
              (vnicOn() || !cfg.txTraffic.enabled()),
              "txPaceRate requires a txTraffic profile (vnic runs pace "
@@ -136,9 +139,6 @@ NicController::build()
     } else {
         txSched = std::make_unique<TxSchedule>(txProfile);
         if (cfg.txPaceRate > 0.0) {
-            fatal_if(cfg.txPaceRate > 1.0, "txPaceRate must be a "
-                     "fraction of line rate in (0, 1], got ",
-                     cfg.txPaceRate);
             // Pull-mode metered posting: a frame becomes eligible only
             // when its wire time at the paced rate has elapsed since
             // the previous one.  No credit accumulates while posting

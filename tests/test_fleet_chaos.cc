@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <string>
 #include <vector>
 
@@ -155,6 +156,8 @@ TEST(FleetChaosConfig, RejectsReliableWithoutPacedTx)
     FleetConfig fc = chaosFleet();
     fc.reliable.enabled = true;
     fc.nodes[1].txPaceRate = 0.0;
+    EXPECT_THROW(fc.validate(), FatalError);
+    fc.nodes[1].txPaceRate = std::nan("");
     EXPECT_THROW(fc.validate(), FatalError);
 }
 
@@ -305,6 +308,11 @@ TEST(PacedTx, ConfigGuards)
 {
     NicConfig cfg = chaosNodeTemplate();
     cfg.txPaceRate = 1.5;
+    EXPECT_THROW(NicController{cfg}, FatalError);
+    // Negative and NaN rates are out of range too, not "unpaced".
+    cfg.txPaceRate = -1.0;
+    EXPECT_THROW(NicController{cfg}, FatalError);
+    cfg.txPaceRate = std::nan("");
     EXPECT_THROW(NicController{cfg}, FatalError);
     cfg.txPaceRate = 0.5;
     cfg.txTraffic = TrafficProfile{};
