@@ -22,34 +22,6 @@ patternHash(const std::uint8_t *data, unsigned len)
 
 constexpr unsigned headerWords = 4; // seq, len, hash, pad
 
-/**
- * Composite LCG jump-ahead constants: lane k advances k+1 steps in one
- * multiply-add (A[k] = a1^(k+1), C[k] folds the accumulated additive
- * term).  Sixteen independent lanes give the compiler a full SIMD
- * register of 32-bit multiplies per iteration.
- */
-struct LcgJump
-{
-    std::uint32_t a[16];
-    std::uint32_t c[16];
-};
-
-constexpr LcgJump
-makeLcgJump()
-{
-    LcgJump j{};
-    std::uint32_t a = 1664525u, c = 1013904223u;
-    for (unsigned k = 0; k < 16; ++k) {
-        j.a[k] = a;
-        j.c[k] = c;
-        a = 1664525u * a;
-        c = 1664525u * c + 1013904223u;
-    }
-    return j;
-}
-
-constexpr LcgJump lcgJump = makeLcgJump();
-
 } // namespace
 
 void
@@ -63,34 +35,10 @@ fillPayload(std::uint8_t *payload, unsigned len, std::uint32_t seq,
     std::uint8_t *pattern = payload + headerWords * 4;
     // Deterministic pattern derived from the flow and sequence number:
     // an LCG (a = 1664525, c = 1013904223) emitting the top byte per
-    // step.  The recurrence is strictly sequential, but precomputed
-    // composite constants let each lane jump ahead independently: the
-    // 16-lane body is one SIMD-width batch of independent multiply-adds
-    // per iteration (auto-vectorized), and the byte stream is identical
-    // to the one-step loop.
-    constexpr std::uint32_t a1 = 1664525u, c1 = 1013904223u;
+    // step.
     std::uint32_t x = (seq + flow * 40503u) * 2654435761u + 12345u;
-    unsigned i = 0;
-    for (; i + 16 <= pattern_len; i += 16) {
-        for (unsigned k = 0; k < 16; ++k) {
-            pattern[i + k] = static_cast<std::uint8_t>(
-                (lcgJump.a[k] * x + lcgJump.c[k]) >> 24);
-        }
-        x = lcgJump.a[15] * x + lcgJump.c[15];
-    }
-    for (; i + 4 <= pattern_len; i += 4) {
-        pattern[i] = static_cast<std::uint8_t>(
-            (lcgJump.a[0] * x + lcgJump.c[0]) >> 24);
-        pattern[i + 1] = static_cast<std::uint8_t>(
-            (lcgJump.a[1] * x + lcgJump.c[1]) >> 24);
-        pattern[i + 2] = static_cast<std::uint8_t>(
-            (lcgJump.a[2] * x + lcgJump.c[2]) >> 24);
-        std::uint32_t next = lcgJump.a[3] * x + lcgJump.c[3];
-        pattern[i + 3] = static_cast<std::uint8_t>(next >> 24);
-        x = next;
-    }
-    for (; i < pattern_len; ++i) {
-        x = x * a1 + c1;
+    for (unsigned i = 0; i < pattern_len; ++i) {
+        x = x * 1664525u + 1013904223u;
         pattern[i] = static_cast<std::uint8_t>(x >> 24);
     }
     std::uint32_t hash = patternHash(pattern, pattern_len);
