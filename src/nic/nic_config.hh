@@ -76,11 +76,12 @@ struct NicConfig
     /**
      * When nonzero, meter host send-descriptor posting to this
      * fraction of 10 Gb/s line rate (measured in wire time) instead
-     * of keeping the send ring backlogged.  Requires txTraffic; the
-     * transmit wire then carries the profile's intended offered load
-     * rather than saturating -- fleets that must recover from fabric
-     * faults need this headroom, because retransmissions into a
-     * wire-rate stream can only ratchet the switch egress FIFO.
+     * of keeping the send ring backlogged.  Must lie in [0, 1] (NaN
+     * is fatal, not unpaced).  Requires txTraffic; the transmit wire
+     * then carries the profile's intended offered load rather than
+     * saturating -- fleets that must recover from fabric faults need
+     * this headroom, because retransmissions into a wire-rate stream
+     * can only ratchet the switch egress FIFO.
      */
     double txPaceRate = 0.0;
     /// @}
