@@ -84,7 +84,7 @@ BM_SdramFrameBursts(benchmark::State &state)
     for (auto _ : state) {
         EventQueue eq;
         ClockDomain bus("membus", 2000);
-        GddrSdram ram(eq, bus, GddrSdram::Config{});
+        GddrSdram ram(eq, bus);
         int done = 0;
         std::function<void(unsigned, int)> issue = [&](unsigned who,
                                                        int n) {

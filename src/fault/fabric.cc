@@ -11,13 +11,6 @@ namespace tengig {
 void
 FabricFaultPlan::validate() const
 {
-    fatal_if(linkFlapRate > 0.0 && flapEpochTicks == 0,
-             "fabric link flaps need a nonzero flap epoch");
-    fatal_if(linkFlapRate > 0.0 && flapMinTicks > flapMaxTicks,
-             "fabric flap duration range is inverted: [", flapMinTicks,
-             ", ", flapMaxTicks, "]");
-    fatal_if(linkFlapRate > 0.0 && flapMinTicks == 0,
-             "fabric flap windows need a nonzero minimum duration");
     fatal_if(nodeStallRate > 0.0 && nodeStallTicks == 0,
              "fabric node stalls need a nonzero duration");
     auto rate = [](double r) { return r >= 0.0 && r <= 1.0; };

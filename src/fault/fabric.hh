@@ -56,13 +56,19 @@ struct FabricFaultPlan
     /// Each link rolls once per flap epoch; a hit opens a down window
     /// of uniform [flapMinTicks, flapMaxTicks] duration starting at a
     /// uniform offset inside the epoch.  Frames (and acks) whose
-    /// fabric traversal lands in a down window are lost.
+    /// fabric traversal lands in a down window are lost.  Only the
+    /// rate is settable.
     /// @{
     double linkFlapRate = 0.0;
-    Tick flapEpochTicks = 100 * tickPerUs;
-    Tick flapMinTicks = 20 * tickPerUs;
-    Tick flapMaxTicks = 60 * tickPerUs;
+    static constexpr Tick flapEpochTicks = 100 * tickPerUs;
+    static constexpr Tick flapMinTicks = 20 * tickPerUs;
+    static constexpr Tick flapMaxTicks = 60 * tickPerUs;
     /// @}
+
+    static_assert(flapEpochTicks > 0 && flapMinTicks > 0 &&
+                  flapMinTicks <= flapMaxTicks,
+                  "flap windows need a nonzero epoch and a nonempty "
+                  "[min, max] duration range");
 
     /// @name Per-egress frame faults
     /// @{

@@ -70,11 +70,13 @@ struct FaultPlan
     double txPoisonRate = 0.0;     //!< firmware-visible poison per tx frame
     /// @}
 
-    /// @name Watchdog / recovery knobs
+    /** Firmware watchdog period; 0 = off. */
+    Cycles watchdogCycles = 0;
+
+    /// @name Doorbell retry (fixed)
     /// @{
-    Cycles watchdogCycles = 0;             //!< fw watchdog period; 0 = off
-    Tick doorbellRetryTimeout = 20 * tickPerUs; //!< base host retry timeout
-    unsigned doorbellBackoffMax = 6;       //!< cap on timeout doublings
+    static constexpr Tick doorbellRetryTimeout = 20 * tickPerUs; //!< base
+    static constexpr unsigned doorbellBackoffMax = 6; //!< timeout doublings
     /// @}
 
     /** True when any part of the subsystem must be wired up. */

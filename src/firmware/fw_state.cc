@@ -1,21 +1,12 @@
 #include "fw_state.hh"
 
-#include "sim/logging.hh"
+#include <algorithm>
 
 namespace tengig {
 
 FwState::FwState(Scratchpad &spad_, const FwConfig &cfg)
     : spad(spad_), config(cfg)
 {
-    fatal_if(cfg.txSlots == 0 || (cfg.txSlots & (cfg.txSlots - 1)),
-             "txSlots must be a power of two");
-    fatal_if(cfg.rxSlots == 0 || (cfg.rxSlots & (cfg.rxSlots - 1)),
-             "rxSlots must be a power of two");
-    fatal_if(cfg.bdCacheBds == 0 ||
-             (cfg.bdCacheBds & (cfg.bdCacheBds - 1)),
-             "bdCacheBds must be a power of two");
-    fatal_if(cfg.bundleFrames == 0, "bundleFrames must be >= 1");
-
     // The flag rings must cover every in-flight frame; slots bound the
     // in-flight window, so flagBits = 2 * slots is always safe.
     flagBits = 2 * std::max(cfg.txSlots, cfg.rxSlots);

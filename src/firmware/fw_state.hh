@@ -21,7 +21,10 @@
 
 namespace tengig {
 
-/** Firmware organization and resource sizing. */
+/**
+ * Firmware organization (settable) and resource sizing (fixed: the
+ * ring, cache and batch sizes every experiment shares).
+ */
 struct FwConfig
 {
     /** Frame ordering strategy: lock+scan loops vs set/update RMW. */
@@ -34,17 +37,27 @@ struct FwConfig
      */
     bool idealMode = false;
 
-    unsigned bundleFrames = 8;    //!< frames per work-unit event
     /** Deferred segmentation: frames per posted descriptor pair. */
     unsigned tsoSegments = 1;
-    unsigned sendBdBatch = 32;    //!< BDs per send-BD fetch DMA
-    unsigned recvBdBatch = 16;    //!< BDs per receive-BD fetch DMA
-    unsigned txSlots = 128;       //!< SDRAM transmit buffer slots
-    unsigned rxSlots = 128;       //!< SDRAM receive buffer slots
-    unsigned bdCacheBds = 128;    //!< scratchpad BD cache entries/side
-    unsigned rxBdLowWater = 64;   //!< refetch threshold
-    unsigned slotBytes = 1536;    //!< SDRAM bytes per frame slot
-    unsigned maxCommitPerPass = 32;
+
+    /// @name Resource sizing
+    /// @{
+    static constexpr unsigned bundleFrames = 8;   //!< frames per work unit
+    static constexpr unsigned sendBdBatch = 32;   //!< BDs per send fetch
+    static constexpr unsigned recvBdBatch = 16;   //!< BDs per receive fetch
+    static constexpr unsigned txSlots = 128;      //!< SDRAM tx buffer slots
+    static constexpr unsigned rxSlots = 128;      //!< SDRAM rx buffer slots
+    static constexpr unsigned bdCacheBds = 128;   //!< BD cache entries/side
+    static constexpr unsigned rxBdLowWater = 64;  //!< refetch threshold
+    static constexpr unsigned slotBytes = 1536;   //!< SDRAM bytes per slot
+    static constexpr unsigned maxCommitPerPass = 32;
+    /// @}
+
+    // Rings are indexed by counter % size over monotonic counters.
+    static_assert(isPowerOfTwo(txSlots) && isPowerOfTwo(rxSlots) &&
+                  isPowerOfTwo(bdCacheBds),
+                  "slot rings and BD caches must be powers of two");
+    static_assert(bundleFrames >= 1, "a work unit holds at least a frame");
 };
 
 /** Identifiers for the firmware's spin locks. */

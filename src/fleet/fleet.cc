@@ -199,10 +199,8 @@ FleetRunner::FleetRunner(const FleetConfig &c) : cfg(c)
         chaos->registerStats(fleetRoot.group("switch"));
     }
     if (cfg.reliable.enabled) {
-        rto = cfg.reliable.retransmitTimeout
-                  ? cfg.reliable.retransmitTimeout
-                  : cfg.minRetransmitTimeout();
-        relay = std::make_unique<ReliableSender>(cfg.reliable, rto);
+        rto = cfg.minRetransmitTimeout();
+        relay = std::make_unique<ReliableSender>(rto);
         relay->registerStats(fleetRoot.group("reliable"));
     }
 
@@ -224,7 +222,7 @@ FleetRunner::FleetRunner(const FleetConfig &c) : cfg(c)
         }
         if (relay)
             node->rrx = std::make_unique<ReliableReceiver>(
-                *node->nic, cfg.reliable.rxRetryTicks);
+                *node->nic, ReliableDeliveryConfig::rxRetryTicks);
         nodes.push_back(std::move(node));
     }
 
@@ -591,7 +589,7 @@ FleetRunner::run()
                     return false;
             return true;
         };
-        Tick cap = t + (rto << (cfg.reliable.backoffMax + 2));
+        Tick cap = t + (rto << (ReliableDeliveryConfig::backoffMax + 2));
         while (!settled()) {
             fatal_if(t >= cap, "reliable drain did not settle within ",
                      (cap - end) / tickPerUs, " us past the run end: ",

@@ -19,9 +19,6 @@ SwitchModelConfig::egressByteTicks() const
 Tick
 FleetConfig::minRetransmitTimeout() const
 {
-    fatal_if(sw.egressQueueFrames == 0,
-             "reliable delivery needs a bounded egress FIFO "
-             "(egressQueueFrames > 0) to bound the worst-case RTT");
     Tick maxWire = static_cast<Tick>(wireBytesForFrame(ethMaxFrameBytes)) *
                    sw.egressByteTicks();
     return 2 * sw.fabricLatencyTicks +
@@ -44,15 +41,9 @@ FleetConfig::validate() const
     fatal_if(reliable.enabled && topology == FleetTopology::None,
              "reliable delivery needs a forwarding topology");
     if (reliable.enabled) {
-        fatal_if(reliable.rxRetryTicks == 0,
-                 "reliable delivery needs a nonzero receiver retry period");
-        Tick floor = minRetransmitTimeout();
-        fatal_if(reliable.retransmitTimeout != 0 &&
-                 reliable.retransmitTimeout < floor,
-                 "reliable retransmit timeout ", reliable.retransmitTimeout,
-                 " is below the worst-case RTT bound ", floor,
-                 ": spurious retransmissions would break the "
-                 "injected==recovered accounting (0 derives the bound)");
+        fatal_if(sw.egressQueueFrames == 0,
+                 "reliable delivery needs a bounded egress FIFO "
+                 "(egressQueueFrames > 0) to bound the worst-case RTT");
         for (std::size_t i = 0; i < nodes.size(); ++i)
             fatal_if(!(nodes[i].txPaceRate > 0.0),
                      "reliable delivery requires paced transmit "

@@ -75,30 +75,25 @@ struct ReliableDeliveryConfig
 {
     bool enabled = false;
 
-    /**
-     * Retransmit timeout base.  0 (the default) derives the minimum
-     * safe value from the switch model -- see
-     * FleetConfig::minRetransmitTimeout(); an explicit value below
-     * that minimum is rejected by validate(), because a timeout under
-     * the worst-case RTT would retransmit frames that were never
-     * lost and break the injected==recovered accounting.
-     */
-    Tick retransmitTimeout = 0;
+    // The retransmit timeout base is always
+    // FleetConfig::minRetransmitTimeout(): the worst-case RTT, so no
+    // frame that was delivered is ever retransmitted and the
+    // injected==recovered accounting stays exact.
 
     /** Cap on timeout doublings (mirrors FaultPlan::doorbellBackoffMax). */
-    unsigned backoffMax = 6;
+    static constexpr unsigned backoffMax = 6;
 
     /**
      * Retransmission window: at most this many retransmissions per
-     * destination link per sync barrier (0 = unbounded).  Losses
-     * cluster -- every frame killed by one flap down window shares a
-     * deadline -- so unbounded retransmission fires synchronized
-     * bursts that overflow the egress FIFO, get re-owed as EgressFull,
-     * and re-synchronize at the next backoff.  The window spreads the
-     * recovery backlog across barriers instead; deferred records stay
-     * due and go out at the following barrier.
+     * destination link per sync barrier.  Losses cluster -- every
+     * frame killed by one flap down window shares a deadline -- so
+     * unbounded retransmission fires synchronized bursts that overflow
+     * the egress FIFO, get re-owed as EgressFull, and re-synchronize
+     * at the next backoff.  The window spreads the recovery backlog
+     * across barriers instead; deferred records stay due and go out
+     * at the following barrier.
      */
-    unsigned retransmitWindow = 2;
+    static constexpr unsigned retransmitWindow = 2;
 
     /** Receiver-side re-injection period after a MAC refusal.  A
      *  refusal means the MAC's store pipeline or buffer pool is
@@ -106,7 +101,10 @@ struct ReliableDeliveryConfig
      *  retry period must stay near one max-frame wire time -- a lazy
      *  cadence drains reorder buffers slower than frames arrive and
      *  the backlog never catches up after a storm. */
-    Tick rxRetryTicks = tickPerUs;
+    static constexpr Tick rxRetryTicks = tickPerUs;
+
+    static_assert(retransmitWindow >= 1 && rxRetryTicks > 0,
+                  "recovery must make progress at every barrier");
 };
 
 /**
@@ -165,11 +163,12 @@ struct FleetConfig
     void validate() const;
 
     /**
-     * Smallest retransmit timeout that can never fire before an ack
-     * from a frame that was actually delivered: fabric latency both
-     * ways, plus a full egress FIFO of max-size frames ahead of the
-     * data frame, plus its own serialization, plus one sync window of
-     * barrier quantization.  Requires a bounded egress FIFO.
+     * The reliable-delivery retransmit timeout: the smallest that can
+     * never fire before an ack from a frame that was actually
+     * delivered.  It is fabric latency both ways, plus a full egress
+     * FIFO of max-size frames ahead of the data frame, plus its own
+     * serialization, plus one sync window of barrier quantization.
+     * Requires a bounded egress FIFO.
      */
     Tick minRetransmitTimeout() const;
 

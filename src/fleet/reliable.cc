@@ -21,11 +21,8 @@ fabricFaultClassName(FabricFaultClass c)
     return "?";
 }
 
-ReliableSender::ReliableSender(const ReliableDeliveryConfig &cfg, Tick rto)
-    : cfg(cfg), rto(rto)
+ReliableSender::ReliableSender(Tick rto) : rto(rto)
 {
-    fatal_if(!cfg.enabled, "ReliableSender built with reliable delivery "
-             "disabled");
     fatal_if(rto == 0, "reliable retransmit timeout must be nonzero");
 }
 
@@ -105,8 +102,7 @@ ReliableSender::collectTimeouts(Tick now)
         // synchronized burst that mostly bounces as EgressFull.
         // Deferred records keep their expired deadline and go out at
         // the next barrier, oldest first.
-        if (cfg.retransmitWindow &&
-            perDst[rec.dst] >= cfg.retransmitWindow)
+        if (perDst[rec.dst] >= ReliableDeliveryConfig::retransmitWindow)
             continue;
         ++perDst[rec.dst];
         // An expired deadline on a frame whose attempt is still
@@ -123,7 +119,7 @@ ReliableSender::collectTimeouts(Tick now)
         ++recoveredCtr[static_cast<unsigned>(*rec.owed)];
         rec.owed.reset();
         ++retransmits;
-        if (rec.backoff < cfg.backoffMax)
+        if (rec.backoff < ReliableDeliveryConfig::backoffMax)
             ++rec.backoff;
         Tick delay = rto << rec.backoff;
         backoffTicks += delay - rto;

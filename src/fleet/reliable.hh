@@ -14,10 +14,10 @@
  * retransmit deadline the owed class is repaid (`recovered`) and the
  * frame is re-offered, with the timeout doubling per attempt up to a
  * cap -- the PR 5 doorbell-retry discipline applied to the fabric.
- * A timeout with nothing owed is fatal: it means the configured
- * timeout is below the worst-case RTT and a frame that was never
- * lost would have been retransmitted, breaking the exact
- * injected==recovered accounting (DESIGN.md §16).
+ * A timeout with nothing owed is fatal: it means the timeout is
+ * below the worst-case RTT and a frame that was never lost would have
+ * been retransmitted, breaking the exact injected==recovered
+ * accounting (DESIGN.md §16).
  *
  * Acks are modeled at the coordinator: a frame that survives the
  * fabric is acked from its arrival tick, the ack crossing back with
@@ -90,7 +90,9 @@ class ReliableSender
         std::optional<FabricFaultClass> owed;
     };
 
-    ReliableSender(const ReliableDeliveryConfig &cfg, Tick rto);
+    /** @param rto Retransmit timeout base
+     *         (FleetConfig::minRetransmitTimeout). */
+    explicit ReliableSender(Tick rto);
 
     /** Start tracking one first-attempt frame.  @return record id. */
     std::uint64_t track(unsigned src, unsigned dst, Tick sent,
@@ -109,7 +111,7 @@ class ReliableSender
 
     /**
      * Records due for retransmission at @p now, in FIFO order, capped
-     * at the configured per-destination retransmission window (excess
+     * at the per-destination retransmission window (excess
      * records stay due and surface at the next call).  For each
      * returned id, the owed fault class is repaid into the recovered
      * accounting and the backed-off deadline is rearmed; the caller
@@ -142,7 +144,6 @@ class ReliableSender
     void registerStats(obs::StatGroup &g);
 
   private:
-    ReliableDeliveryConfig cfg;
     Tick rto;
     std::uint64_t nextId = 1;
     std::map<std::uint64_t, Record> pending; //!< id order == FIFO

@@ -19,13 +19,11 @@ constexpr Cycles writeAcceptLatency = 1;
 
 Scratchpad::Scratchpad(EventQueue &eq, const ClockDomain &domain,
                        unsigned requesters, std::size_t capacity,
-                       unsigned num_banks, unsigned interleave)
+                       unsigned num_banks)
     : Clocked(eq, domain), store(capacity), banks(num_banks),
-      numRequesters(requesters), interleaveBytes(interleave)
+      numRequesters(requesters)
 {
     fatal_if(num_banks == 0, "scratchpad needs at least one bank");
-    fatal_if(interleave < 4 || (interleave & (interleave - 1)),
-             "scratchpad interleave must be a power of two >= 4");
 }
 
 unsigned

@@ -84,11 +84,12 @@ class Scratchpad : public Clocked
      * @param requesters Number of crossbar requesters (cores + assists).
      * @param capacity Scratchpad size in bytes (paper: 256 KB).
      * @param banks Number of independent banks (paper: 2-4).
-     * @param interleave Bank interleaving granularity in bytes.
      */
     Scratchpad(EventQueue &eq, const ClockDomain &domain,
-               unsigned requesters, std::size_t capacity, unsigned banks,
-               unsigned interleave = 4);
+               unsigned requesters, std::size_t capacity, unsigned banks);
+
+    /** Bank interleaving granularity: one 32-bit word per bank. */
+    static constexpr unsigned interleaveBytes = 4;
 
     /**
      * Issue a timed access.  @p cb fires on the data-return edge for
@@ -166,7 +167,6 @@ class Scratchpad : public Clocked
     std::function<void(unsigned, Addr, bool)> tracer;
     std::vector<Bank> banks;
     unsigned numRequesters;
-    unsigned interleaveBytes;
 
     stats::Counter reads, writes, rmws;
 };

@@ -8,34 +8,27 @@
 
 namespace tengig {
 
-GddrSdram::GddrSdram(EventQueue &eq, const ClockDomain &domain,
-                     const Config &cfg)
-    : Clocked(eq, domain), config(cfg), mem(cfg.capacity),
-      openRow(cfg.banks, -1)
-{
-    fatal_if(cfg.banks == 0, "sdram needs at least one bank");
-    fatal_if(cfg.rowBytes == 0 || (cfg.rowBytes & (cfg.rowBytes - 1)),
-             "sdram row size must be a power of two");
-}
+GddrSdram::GddrSdram(EventQueue &eq, const ClockDomain &domain)
+    : Clocked(eq, domain), mem(capacityBytes), openRow(banks, -1)
+{}
 
 unsigned
 GddrSdram::bankOf(Addr addr) const
 {
-    return static_cast<unsigned>((addr / config.rowBytes) % config.banks);
+    return static_cast<unsigned>((addr / rowBytes) % banks);
 }
 
 std::uint64_t
 GddrSdram::rowOf(Addr addr) const
 {
-    return addr / (static_cast<std::uint64_t>(config.rowBytes) *
-                   config.banks);
+    return addr / (static_cast<std::uint64_t>(rowBytes) * banks);
 }
 
 void
 GddrSdram::request(unsigned requester, Addr addr, std::size_t len,
                    bool is_write, Callback cb)
 {
-    panic_if(requester >= config.numRequesters,
+    panic_if(requester >= numRequesters,
              "bad sdram requester ", requester);
     mem.boundsCheck(addr, len, "sdram burst");
     queue.push_back(Burst{requester, addr, len, is_write, std::move(cb)});
@@ -64,9 +57,9 @@ GddrSdram::arbitrate()
     // Round-robin over requester ids; a granted burst runs to completion.
     std::size_t pick = 0;
     bool found = false;
-    for (unsigned step = 0; step < config.numRequesters && !found;
+    for (unsigned step = 0; step < numRequesters && !found;
          ++step) {
-        unsigned want = (rrNext + step) % config.numRequesters;
+        unsigned want = (rrNext + step) % numRequesters;
         for (std::size_t i = 0; i < queue.size(); ++i) {
             if (queue[i].requester == want) {
                 pick = i;
@@ -77,7 +70,7 @@ GddrSdram::arbitrate()
     }
     Burst b = std::move(queue[pick]);
     queue.erase(queue.begin() + static_cast<std::ptrdiff_t>(pick));
-    rrNext = (b.requester + 1) % config.numRequesters;
+    rrNext = (b.requester + 1) % numRequesters;
 
     ++bursts;
 
@@ -99,9 +92,9 @@ GddrSdram::arbitrate()
             if (openRow[bank] != row) {
                 openRow[bank] = row;
                 ++activations;
-                activate_cycles += config.rowActivateCycles;
+                activate_cycles += rowActivateCycles;
             }
-            Addr row_end = (a / config.rowBytes + 1) * config.rowBytes;
+            Addr row_end = (a / rowBytes + 1) * rowBytes;
             a = std::min<Addr>(row_end, last);
         }
     }

@@ -46,17 +46,20 @@ class GddrSdram : public Clocked
   public:
     using Callback = std::function<void()>;
 
-    struct Config
-    {
-        std::size_t capacity = 8 * 1024 * 1024;  //!< bytes
-        unsigned banks = 8;
-        unsigned rowBytes = 2048;
-        unsigned rowActivateCycles = 9; //!< bus cycles lost on a row miss
-        unsigned numRequesters = 5;     //!< 4 assists + core path
-    };
+    /// @name Device geometry (fixed)
+    /// @{
+    static constexpr std::size_t capacityBytes = 8 * 1024 * 1024;
+    static constexpr unsigned banks = 8;
+    static constexpr unsigned rowBytes = 2048;
+    static constexpr unsigned rowActivateCycles = 9; //!< bus cycles/miss
+    static constexpr unsigned numRequesters = 5; //!< 4 assists + core path
+    /// @}
 
-    GddrSdram(EventQueue &eq, const ClockDomain &domain,
-              const Config &cfg);
+    static_assert(banks >= 1, "sdram needs at least one bank");
+    static_assert(isPowerOfTwo(rowBytes),
+                  "sdram row size must be a power of two");
+
+    GddrSdram(EventQueue &eq, const ClockDomain &domain);
 
     /**
      * Issue a timed burst.  @p cb fires when the last beat completes.
@@ -139,7 +142,6 @@ class GddrSdram : public Clocked
     static constexpr unsigned beatBytes = 16;   //!< 128-bit bus beat
     static constexpr unsigned wordBytes = 8;    //!< SDRAM word granularity
 
-    Config config;
     OverlayMem mem;
     std::vector<std::int64_t> openRow;  //!< -1 = closed
     std::deque<Burst> queue;

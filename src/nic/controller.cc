@@ -44,29 +44,23 @@ NicController::build()
 {
     cpuClk = std::make_unique<ClockDomain>("cpu",
                                            periodFromMhz(cfg.cpuMhz));
-    busClk = std::make_unique<ClockDomain>("membus",
-                                           periodFromMhz(cfg.memBusMhz));
+    busClk = std::make_unique<ClockDomain>(
+        "membus", periodFromMhz(NicConfig::memBusMhz));
 
     unsigned P = cfg.cores;
     const unsigned spadRequesters = P + 4;
 
     hostMem = std::make_unique<HostMemory>();
     spad = std::make_unique<Scratchpad>(eq, *cpuClk, spadRequesters,
-                                        cfg.scratchpadBytes,
+                                        NicConfig::scratchpadBytes,
                                         cfg.scratchpadBanks);
-    GddrSdram::Config rc;
-    rc.capacity = cfg.sdramBytes;
-    rc.numRequesters = 5;
-    ram = std::make_unique<GddrSdram>(eq, *busClk, rc);
+    ram = std::make_unique<GddrSdram>(eq, *busClk);
     imem = std::make_unique<InstructionMemory>(*cpuClk);
 
-    // SDRAM frame-buffer layout: transmit slots then receive slots.
+    // SDRAM frame-buffer layout: transmit slots then receive slots
+    // (NicConfig checks that both fit).
     txBufSdram = 0;
-    rxBufSdram = static_cast<Addr>(cfg.firmware.txSlots) *
-        cfg.firmware.slotBytes;
-    fatal_if(rxBufSdram + static_cast<Addr>(cfg.firmware.rxSlots) *
-             cfg.firmware.slotBytes > cfg.sdramBytes,
-             "sdram too small for the configured frame slots");
+    rxBufSdram = static_cast<Addr>(FwConfig::txSlots) * FwConfig::slotBytes;
 
     // Fault injection and the virtualization layer come first: the
     // driver's pull-mode tx source and the DMA assists capture them.
@@ -128,7 +122,7 @@ NicController::build()
 
     DeviceDriver::Config dc;
     dc.sendRingFrames = cfg.sendRingFrames;
-    dc.recvPoolBuffers = cfg.recvPoolBuffers;
+    dc.recvPoolBuffers = NicConfig::recvPoolBuffers;
     dc.tsoSegments = cfg.firmware.tsoSegments;
     if (vnicOn()) {
         // The posting arbiter is the frame source: weighted DRR +
@@ -209,10 +203,10 @@ NicController::build()
 
     dmaRead = std::make_unique<DmaAssist>(eq, *cpuClk, *spad, *ram,
                                           *hostMem, ids.dmaRead, sdDmaRd,
-                                          cfg.dmaFifoDepth);
+                                          NicConfig::dmaFifoDepth);
     dmaWrite = std::make_unique<DmaAssist>(eq, *cpuClk, *spad, *ram,
-                                           *hostMem, ids.dmaWrite,
-                                           sdDmaWr, cfg.dmaFifoDepth);
+                                           *hostMem, ids.dmaWrite, sdDmaWr,
+                                           NicConfig::dmaFifoDepth);
     if (injector) {
         dmaRead->attachFaults(injector.get());
         dmaWrite->attachFaults(injector.get());
@@ -220,7 +214,7 @@ NicController::build()
     macTx = std::make_unique<MacTx>(
         eq, *cpuClk, *ram,
         MacTx::Deliver([this](const FrameView &v) { txDelivered(v); }),
-        sdMacTx, cfg.macTxFifoDepth);
+        sdMacTx, NicConfig::macTxFifoDepth);
 
     fwState = std::make_unique<FwState>(*spad, cfg.firmware);
     tasks = std::make_unique<FwTasks>(*fwState, *dmaRead, *dmaWrite,
@@ -291,8 +285,8 @@ NicController::build()
     CodeLayout layout = CodeLayout::uniform(cal::codeRegionBytes);
     for (unsigned i = 0; i < P; ++i) {
         icaches.push_back(std::make_unique<ICache>(
-            *imem, cfg.icacheBytes, cfg.icacheAssoc,
-            cfg.icacheLineBytes));
+            *imem, NicConfig::icacheBytes, NicConfig::icacheAssoc,
+            NicConfig::icacheLineBytes));
         cores.push_back(std::make_unique<Core>(eq, *cpuClk, i,
                                                *dispatcher, *spad,
                                                *icaches.back(), layout,
@@ -335,7 +329,7 @@ NicController::ringDoorbell(DoorbellChannel &ch, std::uint64_t value,
         if (!ch.pending) {
             ch.pending = true;
             ch.backoff = 0;
-            ch.retry.scheduleIn(cfg.faults.doorbellRetryTimeout);
+            ch.retry.scheduleIn(FaultPlan::doorbellRetryTimeout);
         }
         return;
     }
@@ -360,11 +354,11 @@ NicController::doorbellRetry(DoorbellChannel &ch, bool send)
         // account the extra delay beyond the base timeout so the
         // fault stat tree exposes the recovery cost (doorbell.retries
         // counts the re-rings, doorbell.backoff_ticks this slack).
-        if (ch.backoff < cfg.faults.doorbellBackoffMax)
+        if (ch.backoff < FaultPlan::doorbellBackoffMax)
             ++ch.backoff;
-        Tick delay = cfg.faults.doorbellRetryTimeout << ch.backoff;
+        Tick delay = FaultPlan::doorbellRetryTimeout << ch.backoff;
         injector->noteDoorbellBackoff(
-            delay - cfg.faults.doorbellRetryTimeout);
+            delay - FaultPlan::doorbellRetryTimeout);
         ch.retry.scheduleIn(delay);
         return;
     }

@@ -1,6 +1,15 @@
 /**
  * @file
- * Top-level NIC configuration (the knobs of Figs. 7/8 and Tables 3-6).
+ * Top-level NIC configuration.
+ *
+ * The settable fields are what the paper's experiments vary (Figs. 7/8,
+ * Tables 3-6) -- core count and clock, scratchpad banks, firmware
+ * organization and frame ordering, frame size -- plus the workload,
+ * fault, fleet and virtualization settings of the extensions.  The
+ * rest of the Fig. 6 design is fixed and named here as constants: a
+ * 256 KB scratchpad, 8 KB 2-way I-caches with 32 B lines, a 500 MHz
+ * bus to an 8 MB GDDR SDRAM, 64-entry DMA and MAC transmit FIFOs and
+ * a 1024-buffer receive pool.
  */
 
 #ifndef TENGIG_NIC_NIC_CONFIG_HH
@@ -10,6 +19,7 @@
 
 #include "fault/fault.hh"
 #include "firmware/fw_state.hh"
+#include "mem/sdram.hh"
 #include "net/frame.hh"
 #include "traffic/traffic_profile.hh"
 #include "vnic/vf_config.hh"
@@ -23,15 +33,25 @@ struct NicConfig
     unsigned cores = 6;
     double cpuMhz = 200.0;          //!< cores + scratchpad + crossbar
     unsigned scratchpadBanks = 4;
-    std::size_t scratchpadBytes = 256 * 1024;
-    std::size_t icacheBytes = 8 * 1024;
-    unsigned icacheAssoc = 2;
-    unsigned icacheLineBytes = 32;
-    double memBusMhz = 500.0;       //!< internal bus + GDDR SDRAM
-    std::size_t sdramBytes = 8 * 1024 * 1024;
-    unsigned dmaFifoDepth = 64;
-    unsigned macTxFifoDepth = 64;
     /// @}
+
+    /// @name Fixed architecture (Fig. 6; no experiment varies these)
+    /// @{
+    static constexpr std::size_t scratchpadBytes = 256 * 1024;
+    static constexpr std::size_t icacheBytes = 8 * 1024;
+    static constexpr unsigned icacheAssoc = 2;
+    static constexpr unsigned icacheLineBytes = 32;
+    static constexpr double memBusMhz = 500.0; //!< internal bus + GDDR
+    static constexpr std::size_t sdramBytes = GddrSdram::capacityBytes;
+    static constexpr unsigned dmaFifoDepth = 64;
+    static constexpr unsigned macTxFifoDepth = 64;
+    /// @}
+
+    // SDRAM frame-buffer layout: transmit slots, then receive slots.
+    static_assert((FwConfig::txSlots + FwConfig::rxSlots) *
+                      static_cast<std::size_t>(FwConfig::slotBytes) <=
+                  sdramBytes,
+                  "sdram too small for the frame slots");
 
     /// @name Firmware organization
     /// @{
@@ -59,7 +79,7 @@ struct NicConfig
     unsigned rxPayloadBytes = udpMaxPayloadBytes;
     double rxOfferedRate = 1.0;     //!< fraction of line rate
     unsigned sendRingFrames = 1024;
-    unsigned recvPoolBuffers = 1024;
+    static constexpr unsigned recvPoolBuffers = 1024;
 
     /**
      * Multi-flow workloads (src/traffic).  An enabled profile replaces

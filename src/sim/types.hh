@@ -30,6 +30,13 @@ using Cycles = std::uint64_t;
 /** Byte address within a modeled memory. */
 using Addr = std::uint64_t;
 
+/** True when @p v is a nonzero power of two. */
+constexpr bool
+isPowerOfTwo(std::uint64_t v)
+{
+    return v != 0 && (v & (v - 1)) == 0;
+}
+
 /** Convert a frequency in MHz to a clock period in ticks. */
 constexpr Tick
 periodFromMhz(double mhz)

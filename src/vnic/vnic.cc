@@ -39,11 +39,9 @@ profileMeanWire(const TrafficProfile &p)
 VnicMux::VnicMux(EventQueue &eq_, const Config &cfg_,
                  FaultInjector *injector)
     : eq(eq_), cfg(cfg_), faults(injector),
-      drr(weightsOf(cfg_), cfg_.drrQuantumBytes)
+      drr(weightsOf(cfg_), Config::drrQuantumBytes)
 {
     fatal_if(cfg.vfs.empty(), "vnic mux with no virtual functions");
-    fatal_if(cfg.txProduceBatch == 0,
-             "vnic txProduceBatch must be nonzero");
     fatal_if(faults && faults->tenantCount() != cfg.vfs.size(),
              "vnic fault injector has ", faults->tenantCount(),
              " tenants for ", cfg.vfs.size(), " virtual functions");
@@ -102,7 +100,7 @@ VnicMux::ensureProduced(unsigned vf)
     // drained everything it announced, the next batch is already
     // written and needs only a doorbell.
     if (f.produced == f.served)
-        f.produced += cfg.txProduceBatch;
+        f.produced += Config::txProduceBatch;
     ++f.dbRings;
     if (faults && faults->rollDoorbellDrop(vf)) {
         // This tenant's doorbell write vanished; its batch stays
@@ -110,7 +108,7 @@ VnicMux::ensureProduced(unsigned vf)
         // private retry timer redelivers.  Other VFs are untouched.
         f.dbPending = true;
         f.dbBackoff = 0;
-        f.dbRetry.scheduleIn(faults->plan(vf).doorbellRetryTimeout);
+        f.dbRetry.scheduleIn(FaultPlan::doorbellRetryTimeout);
         return;
     }
     f.visible = f.produced;
@@ -122,11 +120,11 @@ VnicMux::doorbellRetry(unsigned vf)
     Vf &f = *vfs[vf];
     faults->noteDoorbellRetry(vf);
     if (faults->rollDoorbellDrop(vf)) {
-        const FaultPlan &p = faults->plan(vf);
-        if (f.dbBackoff < p.doorbellBackoffMax)
+        if (f.dbBackoff < FaultPlan::doorbellBackoffMax)
             ++f.dbBackoff;
-        Tick delay = p.doorbellRetryTimeout << f.dbBackoff;
-        faults->noteDoorbellBackoff(delay - p.doorbellRetryTimeout, vf);
+        Tick delay = FaultPlan::doorbellRetryTimeout << f.dbBackoff;
+        faults->noteDoorbellBackoff(delay - FaultPlan::doorbellRetryTimeout,
+                                    vf);
         f.dbRetry.scheduleIn(delay);
         return;
     }

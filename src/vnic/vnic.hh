@@ -67,9 +67,11 @@ class VnicMux
         std::vector<VfConfig> vfs;
         unsigned sendRingFrames = 1024; //!< tx vf-of-seq ring span
         unsigned rxSlots = 256;         //!< rx attribution ring sizing
-        unsigned drrQuantumBytes = 2048;
+        static constexpr unsigned drrQuantumBytes = 2048;
         /** Frames a tenant writes into its virtual ring per doorbell. */
-        unsigned txProduceBatch = 64;
+        static constexpr unsigned txProduceBatch = 64;
+        static_assert(txProduceBatch >= 1,
+                      "a tenant doorbell announces at least one frame");
     };
 
     /** @param injector Per-tenant fault source; null disables every

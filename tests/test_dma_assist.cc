@@ -20,7 +20,7 @@ struct DmaFixture : public ::testing::Test
     DmaFixture()
         : cpu("cpu", 5000), bus("membus", 2000),
           spad(eq, cpu, 8, 64 * 1024, 4),
-          ram(eq, bus, GddrSdram::Config{}),
+          ram(eq, bus),
           host(1024 * 1024),
           assist(eq, cpu, spad, ram, host, /*spad_req=*/6,
                  /*sdram_req=*/0, /*fifo=*/4)

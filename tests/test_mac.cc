@@ -16,7 +16,7 @@ struct MacFixture : public ::testing::Test
 {
     MacFixture()
         : cpu("cpu", 5000), bus("membus", 2000),
-          ram(eq, bus, GddrSdram::Config{})
+          ram(eq, bus)
     {}
 
     /** Write a validatable frame image into SDRAM. */

@@ -117,7 +117,7 @@ TEST_P(SdramPattern, ConsumedNeverBelowUsefulAndBoundedByWordWaste)
     unsigned len = GetParam();
     EventQueue eq;
     ClockDomain bus("membus", 2000);
-    GddrSdram ram(eq, bus, GddrSdram::Config{});
+    GddrSdram ram(eq, bus);
     Rng rng(len);
     int remaining = 64;
     std::function<void()> issue = [&] {

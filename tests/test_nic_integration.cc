@@ -206,19 +206,6 @@ TEST(NicFootprint, ShortRunTouchesFewPages)
         << " bytes";
 }
 
-TEST(NicConfigErrors, ZeroSdramIsTooSmallForTheFrameSlots)
-{
-    NicConfig cfg;
-    cfg.sdramBytes = 0;
-    try {
-        NicController nic(cfg);
-        FAIL() << "a zero-byte SDRAM must be fatal";
-    } catch (const FatalError &e) {
-        std::string msg = e.what();
-        EXPECT_NE(msg.find("sdram too small"), std::string::npos) << msg;
-    }
-}
-
 namespace {
 
 /** Building @p cfg must raise a FatalError whose message names

@@ -337,7 +337,6 @@ TEST(ScratchpadConfig, RejectsBadGeometry)
     EventQueue eq;
     ClockDomain cpu("cpu", 5000);
     EXPECT_THROW(Scratchpad(eq, cpu, 4, 1024, 0), FatalError);
-    EXPECT_THROW(Scratchpad(eq, cpu, 4, 1024, 4, 3), FatalError);
 }
 
 TEST(ScratchpadRandom, ConcurrentAtomicSetsMatchOrderIndependentOracle)

@@ -16,7 +16,7 @@ namespace {
 
 struct SdramFixture : public ::testing::Test
 {
-    SdramFixture() : bus("membus", 2000), ram(eq, bus, GddrSdram::Config{})
+    SdramFixture() : bus("membus", 2000), ram(eq, bus)
     {}
 
     EventQueue eq;
