@@ -30,6 +30,8 @@ void
 FleetConfig::validate() const
 {
     fatal_if(nodes.empty(), "a fleet needs at least one node");
+    for (const NicConfig &n : nodes)
+        n.validate();
     fatal_if(syncWindowTicks == 0, "fleet sync window must be nonzero");
     fatal_if(measureTicks == 0, "fleet measure window must be nonzero");
     sw.validate();

@@ -34,6 +34,7 @@ paperFlow(unsigned payload_bytes, double rate)
 
 NicController::NicController(const NicConfig &cfg_) : cfg(cfg_)
 {
+    cfg.validate();
     build();
 }
 
@@ -58,7 +59,7 @@ NicController::build()
     imem = std::make_unique<InstructionMemory>(*cpuClk);
 
     // SDRAM frame-buffer layout: transmit slots then receive slots
-    // (NicConfig checks that both fit).
+    // (a static_assert in NicConfig checks that both fit).
     txBufSdram = 0;
     rxBufSdram = static_cast<Addr>(FwConfig::txSlots) * FwConfig::slotBytes;
 
@@ -68,13 +69,6 @@ NicController::build()
     // per VF); other runs keep the single-plan injector.
     Cycles wdCycles = cfg.faults.watchdogCycles;
     if (vnicOn()) {
-        fatal_if(cfg.txTraffic.enabled() || cfg.rxTraffic.enabled(),
-                 "vnic runs own the workload: per-VF profiles replace "
-                 "cfg.txTraffic/cfg.rxTraffic");
-        fatal_if(cfg.faults.enabled(),
-                 "vnic runs use per-VF fault plans, not cfg.faults");
-        fatal_if(cfg.firmware.tsoSegments != 1,
-                 "vnic runs are incompatible with TSO");
         std::vector<FaultPlan> plans;
         bool any_faults = false;
         for (const VfConfig &vf : cfg.vfs) {
@@ -93,16 +87,6 @@ NicController::build()
     } else if (cfg.faults.enabled()) {
         injector = std::make_unique<FaultInjector>(cfg.faults, eq);
     }
-    fatal_if(!(cfg.txPaceRate >= 0.0 && cfg.txPaceRate <= 1.0),
-             "txPaceRate must be a fraction of line rate in [0, 1] "
-             "(0 = unpaced), got ", cfg.txPaceRate);
-    fatal_if(cfg.txPaceRate > 0.0 &&
-             (vnicOn() || !cfg.txTraffic.enabled()),
-             "txPaceRate requires a txTraffic profile (vnic runs pace "
-             "through per-VF admission buckets instead)");
-    fatal_if(cfg.firmware.tsoSegments != 1 && cfg.txTraffic.enabled(),
-             "TSO needs one payload size per group: it runs the default "
-             "fixed-size transmit workload, not a txTraffic profile");
 
     // The workload, one profile per direction.  An empty profile is the
     // paper's: one fixed-size paced flow (flow 0) from txPayloadBytes,
@@ -275,8 +259,6 @@ NicController::build()
         ringDoorbell(recvDb, bds, false);
     });
 
-    fatal_if(cfg.taskLevelFirmware && cfg.firmware.idealMode,
-             "task-level firmware has no ideal mode");
     if (cfg.taskLevelFirmware)
         dispatcher = std::make_unique<EventRegisterDispatcher>(*tasks, P);
     else

@@ -1,0 +1,54 @@
+#include "nic/nic_config.hh"
+
+#include "sim/logging.hh"
+
+namespace tengig {
+
+namespace {
+
+/** Far past the paper's 8-core sweep; the coherence study names each
+ *  core's cache with an 8-bit id. */
+constexpr unsigned maxCores = 64;
+
+/** The clock period is a whole number of 1 ps ticks: at most 10 GHz
+ *  keeps its rounding under 0.5%, and at least 1 MHz keeps the
+ *  MHz-to-ticks conversion in range. */
+constexpr double minCpuMhz = 1.0;
+constexpr double maxCpuMhz = 10000.0;
+
+} // namespace
+
+void
+NicConfig::validate() const
+{
+    fatal_if(cores < 1 || cores > maxCores, "cores must be in [1, ",
+             maxCores, "], got ", cores);
+    fatal_if(!(cpuMhz >= minCpuMhz && cpuMhz <= maxCpuMhz),
+             "cpuMhz must be in [", minCpuMhz, ", ", maxCpuMhz,
+             "], got ", cpuMhz);
+    fatal_if(sendRingFrames < 1, "sendRingFrames must be >= 1, got ",
+             sendRingFrames);
+
+    if (!vfs.empty()) {
+        fatal_if(txTraffic.enabled() || rxTraffic.enabled(),
+                 "vnic runs own the workload: per-VF profiles replace "
+                 "cfg.txTraffic/cfg.rxTraffic");
+        fatal_if(faults.enabled(),
+                 "vnic runs use per-VF fault plans, not cfg.faults");
+        fatal_if(firmware.tsoSegments != 1,
+                 "vnic runs are incompatible with TSO");
+    }
+    fatal_if(!(txPaceRate >= 0.0 && txPaceRate <= 1.0),
+             "txPaceRate must be a fraction of line rate in [0, 1] "
+             "(0 = unpaced), got ", txPaceRate);
+    fatal_if(txPaceRate > 0.0 && (!vfs.empty() || !txTraffic.enabled()),
+             "txPaceRate requires a txTraffic profile (vnic runs pace "
+             "through per-VF admission buckets instead)");
+    fatal_if(firmware.tsoSegments != 1 && txTraffic.enabled(),
+             "TSO needs one payload size per group: it runs the default "
+             "fixed-size transmit workload, not a txTraffic profile");
+    fatal_if(taskLevelFirmware && firmware.idealMode,
+             "task-level firmware has no ideal mode");
+}
+
+} // namespace tengig

@@ -9,7 +9,7 @@
  * rest of the Fig. 6 design is fixed and named here as constants: a
  * 256 KB scratchpad, 8 KB 2-way I-caches with 32 B lines, a 500 MHz
  * bus to an 8 MB GDDR SDRAM, 64-entry DMA and MAC transmit FIFOs and
- * a 1024-buffer receive pool.
+ * a 1024-buffer receive pool.  validate() checks the settable ones.
  */
 
 #ifndef TENGIG_NIC_NIC_CONFIG_HH
@@ -132,6 +132,14 @@ struct NicConfig
      * without the subsystem.
      */
     std::vector<VfConfig> vfs;
+
+    /**
+     * Reject a settable value outside its range, or a combination of
+     * modes that cannot run together, with a FatalError that names the
+     * field.  NicController calls it before building anything, and
+     * FleetConfig::validate() calls it for every node.
+     */
+    void validate() const;
 };
 
 } // namespace tengig

@@ -191,6 +191,14 @@ TEST(EventRegisterFirmware, SerializesTypesButStaysCorrect)
     EXPECT_EQ(nic.txFlowSink().errors(), 0u);
 }
 
+TEST(EventRegisterFirmware, HasNoIdealMode)
+{
+    NicConfig cfg = smallConfig();
+    cfg.taskLevelFirmware = true;
+    cfg.firmware.idealMode = true;
+    EXPECT_THROW(NicController{cfg}, FatalError);
+}
+
 TEST(EventRegisterFirmware, DuplexCorrectnessUnderLoad)
 {
     NicConfig cfg = smallConfig();

@@ -217,6 +217,20 @@ TEST(FleetConfigT, ValidateRejectsForwardingWithoutTxProfile)
     EXPECT_THROW(fc.validate(), FatalError);
 }
 
+TEST(FleetConfigT, ValidateChecksEveryNodeConfig)
+{
+    FleetConfig fc = smallFleet(3, 1, true);
+    fc.nodes[2].cores = 0;
+    try {
+        fc.validate();
+        ADD_FAILURE() << "a zero-core node must be fatal";
+    } catch (const FatalError &e) {
+        EXPECT_NE(std::string(e.what()).find("cores must be in"),
+                  std::string::npos)
+            << e.what();
+    }
+}
+
 TEST(FleetConfigT, ValidateRejectsOddPairs)
 {
     FleetConfig fc = smallFleet(3, 1, true);

@@ -224,6 +224,34 @@ expectFatal(const NicConfig &cfg, const std::string &what)
 
 } // namespace
 
+TEST(NicConfigErrors, CoreCountOutsideRangeIsFatal)
+{
+    for (unsigned n : {0u, 65u}) {
+        NicConfig cfg;
+        cfg.cores = n;
+        expectFatal(cfg, "cores must be in [1, 64], got " +
+                             std::to_string(n));
+    }
+}
+
+TEST(NicConfigErrors, CpuClockOutsideRangeIsFatal)
+{
+    // NaN and -5 used to reach the MHz-to-ticks conversion (undefined
+    // behaviour) and 1e7 a zero-period clock domain.
+    for (double mhz : {std::nan(""), -5.0, 0.0, 1e7}) {
+        NicConfig cfg;
+        cfg.cpuMhz = mhz;
+        expectFatal(cfg, "cpuMhz must be in [1, 10000], got ");
+    }
+}
+
+TEST(NicConfigErrors, EmptySendRingIsFatal)
+{
+    NicConfig cfg;
+    cfg.sendRingFrames = 0;
+    expectFatal(cfg, "sendRingFrames must be >= 1, got 0");
+}
+
 TEST(NicConfigErrors, NanOfferedRateIsFatal)
 {
     NicConfig cfg;
