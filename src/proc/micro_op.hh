@@ -118,17 +118,13 @@ struct OpList
 class OpRecorder
 {
   public:
-    explicit OpRecorder(FuncTag initial = FuncTag::Idle)
-        : list(&owned), cur(initial)
-    {}
-
     /**
-     * Record into @p target instead of an internal list.  @p target is
-     * cleared first; its vector capacity is reused, so per-poll
-     * recording does not allocate in steady state.
+     * Record into @p target, which is cleared first; its vector
+     * capacity is reused, so per-poll recording does not allocate in
+     * steady state.
      */
     OpRecorder(OpList &target, FuncTag initial)
-        : list(&target), cur(initial)
+        : list(target), cur(initial)
     {
         target.clear();
     }
@@ -145,8 +141,8 @@ class OpRecorder
             return;
         // Merge with a preceding Alu op in the same bucket to keep the
         // replayed stream compact.
-        if (!list->ops.empty()) {
-            MicroOp &back = list->ops.back();
+        if (!list.ops.empty()) {
+            MicroOp &back = list.ops.back();
             if (back.kind == OpKind::Alu && back.tag == cur &&
                 back.count + n < 0xffff && back.hazard + hazard_cycles <
                 0xffff) {
@@ -161,7 +157,7 @@ class OpRecorder
         op.tag = cur;
         op.count = static_cast<std::uint16_t>(n);
         op.hazard = static_cast<std::uint16_t>(hazard_cycles);
-        list->ops.push_back(op);
+        list.ops.push_back(op);
     }
 
     void load(Addr addr) { mem(OpKind::MemRead, addr); }
@@ -179,12 +175,9 @@ class OpRecorder
         MicroOp op;
         op.kind = OpKind::Action;
         op.tag = cur;
-        list->ops.push_back(op);
-        list->actions.push_back(std::move(a));
+        list.ops.push_back(op);
+        list.actions.push_back(std::move(a));
     }
-
-    OpList take() { return std::move(*list); }
-    bool empty() const { return list->ops.empty(); }
 
   private:
     void
@@ -196,11 +189,10 @@ class OpRecorder
         op.kind = kind;
         op.tag = cur;
         op.addr = static_cast<std::uint32_t>(addr);
-        list->ops.push_back(op);
+        list.ops.push_back(op);
     }
 
-    OpList owned;
-    OpList *list;
+    OpList &list;
     FuncTag cur;
 };
 

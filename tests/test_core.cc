@@ -77,9 +77,10 @@ struct CoreFixture : public ::testing::Test
 OpList
 makeAlu(FuncTag tag, unsigned n, unsigned hazard = 0)
 {
-    OpRecorder r(tag);
+    OpList ops;
+    OpRecorder r(ops, tag);
     r.alu(n, hazard);
-    return r.take();
+    return ops;
 }
 
 } // namespace
@@ -104,9 +105,10 @@ TEST_F(CoreFixture, HazardCyclesCountAsPipelineStalls)
 
 TEST_F(CoreFixture, LoadChargesOneBubble)
 {
-    OpRecorder r(FuncTag::RecvFrame);
+    OpList ops;
+    OpRecorder r(ops, FuncTag::RecvFrame);
     r.load(0x100);
-    disp.push(r.take());
+    disp.push(std::move(ops));
     runScript();
     EXPECT_EQ(core.stats().executeCycles, 1u);
     EXPECT_EQ(core.stats().loadStallCycles, 1u);
@@ -116,9 +118,10 @@ TEST_F(CoreFixture, LoadChargesOneBubble)
 
 TEST_F(CoreFixture, RmwTimesLikeALoad)
 {
-    OpRecorder r(FuncTag::SendDispatch);
+    OpList ops;
+    OpRecorder r(ops, FuncTag::SendDispatch);
     r.rmw(0x100);
-    disp.push(r.take());
+    disp.push(std::move(ops));
     runScript();
     EXPECT_EQ(core.stats().loadStallCycles, 1u);
     EXPECT_EQ(spad.rmwAccesses(), 1u);
@@ -126,10 +129,11 @@ TEST_F(CoreFixture, RmwTimesLikeALoad)
 
 TEST_F(CoreFixture, SingleStoreDoesNotStall)
 {
-    OpRecorder r(FuncTag::SendFrame);
+    OpList ops;
+    OpRecorder r(ops, FuncTag::SendFrame);
     r.store(0x100);
     r.alu(10);
-    disp.push(r.take());
+    disp.push(std::move(ops));
     runScript();
     EXPECT_EQ(core.stats().executeCycles, 11u);
     EXPECT_EQ(core.stats().loadStallCycles, 0u);
@@ -141,10 +145,11 @@ TEST_F(CoreFixture, BackToBackStoresDoNotStallWhenUncontended)
     // The paper: "store buffering avoids any stalling for stores" --
     // with an uncontended bank the buffer drains every cycle, so even
     // consecutive stores issue at full rate.
-    OpRecorder r(FuncTag::SendFrame);
+    OpList ops;
+    OpRecorder r(ops, FuncTag::SendFrame);
     r.store(0x100);
     r.store(0x100);
-    disp.push(r.take());
+    disp.push(std::move(ops));
     runScript();
     EXPECT_EQ(core.stats().executeCycles, 2u);
     EXPECT_EQ(core.stats().conflictCycles, 0u);
@@ -159,10 +164,11 @@ TEST_F(CoreFixture, ContendedStoreBufferStallsSecondStore)
         for (int i = 0; i < 4; ++i)
             spad.access(7, 0x100, SpadOp::Read, 0, nullptr);
     }, EventPriority::HardwareProgress);
-    OpRecorder r(FuncTag::SendFrame);
+    OpList ops;
+    OpRecorder r(ops, FuncTag::SendFrame);
     r.store(0x100);
     r.store(0x100);
-    disp.push(r.take());
+    disp.push(std::move(ops));
     runScript();
     EXPECT_EQ(core.stats().executeCycles, 2u);
     EXPECT_GE(core.stats().conflictCycles, 1u);
@@ -170,11 +176,12 @@ TEST_F(CoreFixture, ContendedStoreBufferStallsSecondStore)
 
 TEST_F(CoreFixture, StoreThenSpacedStoreDoesNotStall)
 {
-    OpRecorder r(FuncTag::SendFrame);
+    OpList ops;
+    OpRecorder r(ops, FuncTag::SendFrame);
     r.store(0x100);
     r.alu(4);
     r.store(0x104);
-    disp.push(r.take());
+    disp.push(std::move(ops));
     runScript();
     EXPECT_EQ(core.stats().conflictCycles, 0u);
 }
@@ -182,11 +189,12 @@ TEST_F(CoreFixture, StoreThenSpacedStoreDoesNotStall)
 TEST_F(CoreFixture, ActionsAreFreeAndOrdered)
 {
     std::vector<int> seq;
-    OpRecorder r(FuncTag::SendFrame);
+    OpList ops;
+    OpRecorder r(ops, FuncTag::SendFrame);
     r.action([&] { seq.push_back(1); });
     r.alu(5);
     r.action([&] { seq.push_back(2); });
-    disp.push(r.take());
+    disp.push(std::move(ops));
     runScript();
     EXPECT_EQ(seq, (std::vector<int>{1, 2}));
     EXPECT_EQ(core.stats().executeCycles, 5u);
@@ -195,10 +203,11 @@ TEST_F(CoreFixture, ActionsAreFreeAndOrdered)
 TEST_F(CoreFixture, ActionFiresAfterPrecedingAluTime)
 {
     Tick when = 0;
-    OpRecorder r(FuncTag::SendFrame);
+    OpList ops;
+    OpRecorder r(ops, FuncTag::SendFrame);
     r.alu(20);
     r.action([&, this] { when = eq.curTick(); });
-    disp.push(r.take());
+    disp.push(std::move(ops));
     runScript();
     EXPECT_EQ(when, 20 * 5000u);
 }
@@ -236,13 +245,14 @@ TEST_F(CoreFixture, ColdCodeMissesThenWarms)
 
 TEST_F(CoreFixture, InstructionCountMatchesProfileSum)
 {
-    OpRecorder r(FuncTag::SendFrame);
+    OpList ops;
+    OpRecorder r(ops, FuncTag::SendFrame);
     r.alu(17);
     r.load(0x40);
     r.store(0x44);
     r.tag(FuncTag::SendLock);
     r.rmw(0x48);
-    disp.push(r.take());
+    disp.push(std::move(ops));
     runScript();
     std::uint64_t prof = 0;
     for (std::size_t i = 0; i < numFuncTags; ++i) {
@@ -256,13 +266,14 @@ TEST_F(CoreFixture, InstructionCountMatchesProfileSum)
 
 TEST_F(CoreFixture, IpcBreakdownSumsToTotal)
 {
-    OpRecorder r(FuncTag::SendFrame);
+    OpList ops;
+    OpRecorder r(ops, FuncTag::SendFrame);
     for (int i = 0; i < 20; ++i) {
         r.alu(5, 1);
         r.load(static_cast<Addr>(4 * i));
         r.store(static_cast<Addr>(4 * i));
     }
-    disp.push(r.take());
+    disp.push(std::move(ops));
     runScript();
     const CoreStats &s = core.stats();
     EXPECT_EQ(s.totalCycles(),
@@ -286,10 +297,11 @@ TEST(MultiCore, BankConflictsEmergeAcrossCores)
     std::vector<std::unique_ptr<Core>> cores;
     for (unsigned i = 0; i < 4; ++i) {
         disps.push_back(std::make_unique<ScriptedDispatcher>());
-        OpRecorder r(FuncTag::SendFrame);
+        OpList ops;
+        OpRecorder r(ops, FuncTag::SendFrame);
         for (int k = 0; k < 50; ++k)
             r.load(0x100);
-        disps.back()->push(r.take());
+        disps.back()->push(std::move(ops));
         caches.push_back(std::make_unique<ICache>(imem));
         cores.push_back(std::make_unique<Core>(eq, cpu, i, *disps.back(),
                                                spad, *caches.back(),
