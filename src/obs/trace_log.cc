@@ -58,11 +58,31 @@ TraceLog::counterSample(unsigned tid, const std::string &series, Tick at,
 
 namespace {
 
-/** Trace-event timestamps are microseconds; ticks are picoseconds. */
-double
-us(Tick t)
+/**
+ * Trace-event timestamps are microseconds; ticks are picoseconds.
+ * Streams a tick count as exact decimal microseconds: the whole part,
+ * then the six-digit picosecond remainder without trailing zeros.
+ */
+struct Us
 {
-    return static_cast<double>(t) / static_cast<double>(tickPerUs);
+    Tick t;
+};
+
+std::ostream &
+operator<<(std::ostream &os, Us u)
+{
+    static_assert(tickPerUs == 1000000, "six fractional digits");
+    os << u.t / tickPerUs;
+    Tick frac = u.t % tickPerUs;
+    if (frac == 0)
+        return os;
+    char digits[6];
+    for (int i = 5; i >= 0; --i, frac /= 10)
+        digits[i] = static_cast<char>('0' + frac % 10);
+    int n = 6;
+    while (digits[n - 1] == '0')
+        --n;
+    return os.put('.').write(digits, n);
 }
 
 } // namespace
@@ -99,10 +119,10 @@ TraceLog::write(std::ostream &os) const
         os << "{\"name\":" << json::escape(e.name) << ",\"cat\":"
            << json::escape(e.category) << ",\"ph\":\""
            << static_cast<char>(e.phase) << "\",\"pid\":0,\"tid\":"
-           << e.tid << ",\"ts\":" << us(e.ts);
+           << e.tid << ",\"ts\":" << Us{e.ts};
         switch (e.phase) {
           case Phase::Complete:
-            os << ",\"dur\":" << us(e.dur);
+            os << ",\"dur\":" << Us{e.dur};
             break;
           case Phase::Counter:
             os << ",\"args\":{\"value\":" << e.value << "}";

@@ -13,7 +13,7 @@
  *
  * Rows are (pid, tid) lanes: every component claims a tid via lane()
  * and names it with a thread_name metadata record.  Ticks (ps) are
- * converted to the format's microseconds with sub-µs precision.
+ * written as the format's microseconds exactly, to the picosecond.
  *
  * Recording is bounded: after maxEvents the log drops further events
  * and counts them, so an accidental hour-long traced run degrades to a

@@ -59,23 +59,23 @@ struct Golden
 
 constexpr Golden goldens[] = {
     {"DefaultDuplex", 0xe7280179e7fd7419ull, 0xe9c56661414d0ea3ull,
-     0x0312d484957ddd78ull},
+     0x9f59b0ff6f6d2f54ull},
     {"ImixEightFlows", 0x7f7d4ef8c3809f7full, 0x1f7ae50ac7904746ull,
-     0x275c68ffa942aeb3ull},
+     0xe8f1c82e84b2443eull},
     {"ImixRmw", 0xa7150c112f6361e3ull, 0x57513ab720009d22ull,
-     0x2120adcce44d0b2eull},
+     0xd3f455418312ea59ull},
     {"TaskLevelDuplex", 0x05cd1ae2f240e0d3ull, 0x6cd172d0caa27a39ull,
-     0x384fb4cfe3e452aeull},
+     0x7c2dd7af9d9927cdull},
     {"VfIsolationStorm", 0x8390311d97b63316ull, 0x8408f1c6665e0442ull,
-     0xd8f646087ac62a64ull},
+     0x1939df11a126b425ull},
     {"FaultStorm", 0x20e091f404dfa0ecull, 0x102938fd9116e257ull,
-     0x43a4f012ca9a9933ull},
+     0x6554f9d4a0738de9ull},
     {"FleetRing", 0x1222d16764a8d935ull, 0x5b1918f4d6e191dfull,
      0x95d8032d54da1bb8ull},
     {"QuietReceive", 0xab97c55beb60635eull, 0xd4147da20afa1fb4ull,
-     0xc88c13ce74ad8615ull},
+     0x5a9e2c7027671c47ull},
     {"TsoDuplex", 0x1668a05526d89aa6ull, 0xd8b4ba660fb90e1full,
-     0x195a6afdb4b13fd8ull},
+     0xad4b2bdeda677831ull},
 };
 
 const Golden &

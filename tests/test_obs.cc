@@ -275,6 +275,9 @@ TEST(TraceLog, WritesValidChromeTraceEvents)
     unsigned core = t.lane("core0");
     unsigned mem = t.lane("sdram");
     t.complete(core, "Send Frame", 2 * tickPerUs, tickPerUs, "firmware");
+    // Past 100 us, six significant digits would round to the ns; one
+    // 166 MHz core cycle is 6.024 ns.
+    t.complete(core, "Late Span", 749735123, 6024, "firmware");
     t.instant(core, "halt", 4 * tickPerUs);
     t.counterSample(mem, "busy %", 3 * tickPerUs, 87.5);
 
@@ -287,11 +290,17 @@ TEST(TraceLog, WritesValidChromeTraceEvents)
     EXPECT_EQ(names.at(core), "core0");
     EXPECT_EQ(names.at(mem), "sdram");
 
-    bool saw_span = false, saw_instant = false, saw_counter = false;
+    bool saw_span = false, saw_late = false, saw_instant = false,
+         saw_counter = false;
     for (const json::Value &e : parsed->asArray()) {
         const json::Value *ph = e.find("ph");
         ASSERT_NE(ph, nullptr);
-        if (ph->asString() == "X") {
+        if (ph->asString() == "X" && e.at("name").asString() == "Late Span") {
+            saw_late = true;
+            // Exact to the picosecond tick.
+            EXPECT_DOUBLE_EQ(e.at("ts").asNumber(), 749.735123);
+            EXPECT_DOUBLE_EQ(e.at("dur").asNumber(), 0.006024);
+        } else if (ph->asString() == "X") {
             saw_span = true;
             EXPECT_EQ(e.at("name").asString(), "Send Frame");
             EXPECT_EQ(e.at("cat").asString(), "firmware");
@@ -307,6 +316,7 @@ TEST(TraceLog, WritesValidChromeTraceEvents)
         }
     }
     EXPECT_TRUE(saw_span);
+    EXPECT_TRUE(saw_late);
     EXPECT_TRUE(saw_instant);
     EXPECT_TRUE(saw_counter);
 }
