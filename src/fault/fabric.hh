@@ -56,8 +56,7 @@ struct FabricFaultPlan
     /// Each link rolls once per flap epoch; a hit opens a down window
     /// of uniform [flapMinTicks, flapMaxTicks] duration starting at a
     /// uniform offset inside the epoch.  Frames (and acks) whose
-    /// fabric traversal lands in a down window are lost.  Only the
-    /// rate is settable.
+    /// fabric traversal lands in a down window are lost.
     /// @{
     double linkFlapRate = 0.0;
     static constexpr Tick flapEpochTicks = 100 * tickPerUs;

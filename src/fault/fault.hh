@@ -165,11 +165,6 @@ class FaultInjector
 
     std::size_t tenantCount() const { return tenants.size(); }
 
-    const FaultPlan &plan(unsigned vf = 0) const
-    {
-        return tenants[vf].plan;
-    }
-
     /** True while inside tenant @p vf's storm window. */
     bool
     stormActive(unsigned vf = 0) const

@@ -21,10 +21,7 @@
 
 namespace tengig {
 
-/**
- * Firmware organization (settable) and resource sizing (fixed: the
- * ring, cache and batch sizes every experiment shares).
- */
+/** Firmware organization, plus its fixed resource sizing. */
 struct FwConfig
 {
     /** Frame ordering strategy: lock+scan loops vs set/update RMW. */

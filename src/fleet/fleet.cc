@@ -221,8 +221,7 @@ FleetRunner::FleetRunner(const FleetConfig &c) : cfg(c)
             break;
         }
         if (relay)
-            node->rrx = std::make_unique<ReliableReceiver>(
-                *node->nic, ReliableDeliveryConfig::rxRetryTicks);
+            node->rrx = std::make_unique<ReliableReceiver>(*node->nic);
         nodes.push_back(std::move(node));
     }
 

@@ -75,10 +75,7 @@ struct ReliableDeliveryConfig
 {
     bool enabled = false;
 
-    // The retransmit timeout base is always
-    // FleetConfig::minRetransmitTimeout(): the worst-case RTT, so no
-    // frame that was delivered is ever retransmitted and the
-    // injected==recovered accounting stays exact.
+    // The retransmit timeout is FleetConfig::minRetransmitTimeout().
 
     /** Cap on timeout doublings (mirrors FaultPlan::doorbellBackoffMax). */
     static constexpr unsigned backoffMax = 6;

@@ -177,12 +177,7 @@ ReliableSender::registerStats(obs::StatGroup &g)
                "losses of this fault class repaid by retransmission");
 }
 
-ReliableReceiver::ReliableReceiver(NicController &nic, Tick retry_ticks)
-    : nic(nic), retryTicks(retry_ticks)
-{
-    fatal_if(retryTicks == 0,
-             "reliable receiver needs a nonzero retry period");
-}
+ReliableReceiver::ReliableReceiver(NicController &nic) : nic(nic) {}
 
 void
 ReliableReceiver::receive(FrameData &&fd, bool corrupted)
@@ -235,12 +230,14 @@ ReliableReceiver::drainFlow(std::uint32_t flow_id, FlowState &fs)
             ++refusals;
             if (!fs.retryScheduled) {
                 fs.retryScheduled = true;
-                nic.eventQueue().scheduleIn(retryTicks, [this, flow_id] {
-                    FlowState &s = flows.at(flow_id);
-                    s.retryScheduled = false;
-                    ++retries;
-                    drainFlow(flow_id, s);
-                });
+                nic.eventQueue().scheduleIn(
+                    ReliableDeliveryConfig::rxRetryTicks,
+                    [this, flow_id] {
+                        FlowState &s = flows.at(flow_id);
+                        s.retryScheduled = false;
+                        ++retries;
+                        drainFlow(flow_id, s);
+                    });
             }
             return;
         }

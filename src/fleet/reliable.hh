@@ -164,7 +164,7 @@ class ReliableSender
 class ReliableReceiver
 {
   public:
-    ReliableReceiver(NicController &nic, Tick retry_ticks);
+    explicit ReliableReceiver(NicController &nic);
 
     /** One frame arrived off the fabric (a scheduled receipt event). */
     void receive(FrameData &&fd, bool corrupted);
@@ -194,7 +194,6 @@ class ReliableReceiver
     void drainFlow(std::uint32_t flow_id, FlowState &fs);
 
     NicController &nic;
-    Tick retryTicks;
     std::map<std::uint32_t, FlowState> flows;
 
     stats::Counter received;
