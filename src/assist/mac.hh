@@ -69,16 +69,6 @@ class MacTx : public Clocked
     /** Poisoned commands retired without transmitting. */
     std::uint64_t framesSkipped() const { return skipped.value(); }
 
-    /** Achieved transmit throughput (payload+headers, no overhead). */
-    double
-    frameBandwidthGbps(Tick now) const
-    {
-        if (now == 0)
-            return 0.0;
-        return static_cast<double>(frameBytes.value()) * 8.0 /
-               (static_cast<double>(now) / tickPerSec) / 1e9;
-    }
-
     /** Register counters into the owner's stat tree (src/obs). */
     void registerStats(obs::StatGroup &g) const;
 

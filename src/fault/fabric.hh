@@ -108,8 +108,6 @@ class FabricFaultInjector
   public:
     FabricFaultInjector(const FabricFaultPlan &plan, unsigned ports);
 
-    const FabricFaultPlan &plan() const { return _plan; }
-
     /** True while inside the plan's storm window. */
     bool
     stormActive(Tick t) const
@@ -163,12 +161,6 @@ class FabricFaultInjector
     std::uint64_t corruptInjected() const { return sumLink(&Link::corrupt); }
     std::uint64_t ackLostInjected() const { return sumLink(&Link::ackLost); }
     std::uint64_t nodeStallEpisodes() const { return stallEpisodes.value(); }
-
-    std::uint64_t
-    totalFrameFaults() const
-    {
-        return linkDownKills() + dropsInjected() + corruptInjected();
-    }
 
     /** Total down time of @p link clipped to [0, horizon) -- call
      *  finalize(horizon) first for an exact whole-run figure. */

@@ -182,7 +182,6 @@ ReliableReceiver::ReliableReceiver(NicController &nic) : nic(nic) {}
 void
 ReliableReceiver::receive(FrameData &&fd, bool corrupted)
 {
-    ++received;
     if (corrupted) {
         // The link port's CRC check: damaged frames die here, before
         // the MAC, so the destination's own stat tree never learns the

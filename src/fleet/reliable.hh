@@ -171,7 +171,6 @@ class ReliableReceiver
 
     /// @name Whole-run accounting
     /// @{
-    std::uint64_t receivedTotal() const { return received.value(); }
     std::uint64_t deliveredTotal() const { return delivered.value(); }
     std::uint64_t dupSuppressed() const { return dups.value(); }
     std::uint64_t corruptDiscarded() const { return corrupt.value(); }
@@ -196,7 +195,6 @@ class ReliableReceiver
     NicController &nic;
     std::map<std::uint32_t, FlowState> flows;
 
-    stats::Counter received;
     stats::Counter delivered;
     stats::Counter dups;
     stats::Counter corrupt;

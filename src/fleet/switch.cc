@@ -85,14 +85,6 @@ FleetSwitch::portFramesOut(unsigned dst_port) const
     return ports[dst_port].framesOut.value();
 }
 
-std::uint64_t
-FleetSwitch::portDrops(unsigned dst_port) const
-{
-    fatal_if(dst_port >= ports.size(), "switch port out of range: ",
-             dst_port);
-    return ports[dst_port].drops.value();
-}
-
 void
 FleetSwitch::registerStats(obs::StatGroup &g)
 {

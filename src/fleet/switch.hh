@@ -55,16 +55,11 @@ class FleetSwitch
     /// @{
     std::uint64_t framesForwarded() const { return forwarded.value(); }
     std::uint64_t framesDropped() const { return dropped.value(); }
-    std::uint64_t bytesForwarded() const { return fwdBytes.value(); }
 
     /** Switch transit latency (send tick -> destination arrival). */
     const stats::Histogram &latencyHistogram() const { return latHist; }
 
     std::uint64_t portFramesOut(unsigned dst_port) const;
-
-    /** Frames dropped at @p dst_port's full egress FIFO (the
-     *  `switch.egress<i>.drops` surface). */
-    std::uint64_t portDrops(unsigned dst_port) const;
     /// @}
 
     /** Register counters into @p g (owner's "switch" subtree). */

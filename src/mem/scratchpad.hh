@@ -114,7 +114,6 @@ class Scratchpad : public Clocked
         tracer = std::move(fn);
     }
 
-    unsigned numBanks() const { return static_cast<unsigned>(banks.size()); }
     unsigned bankOf(Addr addr) const;
 
     /** Functional versions of the RMW ops (used by tests/oracles). */

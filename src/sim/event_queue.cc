@@ -33,14 +33,6 @@ EventQueue::releaseSlot(std::uint32_t idx)
     freeSlots.push_back(idx);
 }
 
-std::uint32_t
-EventQueue::popSoonest()
-{
-    std::uint32_t idx = pending.back().slot;
-    pending.pop_back();
-    return idx;
-}
-
 void
 EventQueue::compact()
 {
@@ -105,46 +97,11 @@ EventQueue::cancel(EventId id)
     return true;
 }
 
-bool
-EventQueue::fireNext()
-{
-    while (!pending.empty()) {
-        Tick when = pending.back().when;
-        std::uint32_t idx = popSoonest();
-        Slot &s = slots[idx];
-        if (!s.alive) {
-            --deadInList;
-            releaseSlot(idx);
-            continue; // cancelled
-        }
-        panic_if(when < _curTick, "event queue time went backwards");
-        // Move the callback out and recycle the slot *before* invoking
-        // it, so the callback can schedule (and land in this slot under
-        // a fresh generation) without touching freed state.
-        Callback fn = std::move(s.fn);
-        s.alive = false;
-        ++s.generation;
-        --liveCount;
-        releaseSlot(idx);
-        _curTick = when;
-        ++executed;
-        fn();
-        return true;
-    }
-    return false;
-}
-
-bool
-EventQueue::step()
-{
-    return fireNext();
-}
-
 Tick
 EventQueue::run(Tick limit)
 {
-    // Open-coded fireNext() so each iteration inspects the soonest
-    // entry exactly once; this loop is the simulator's hot spine.
+    // The one firing loop: each iteration inspects the soonest entry
+    // exactly once; this loop is the simulator's hot spine.
     while (!pending.empty()) {
         const PendingEntry &top = pending.back();
         std::uint32_t idx = top.slot;

@@ -120,9 +120,6 @@ class EventQueue
     /** Fire events up to and including tick @p until. */
     Tick runUntil(Tick until);
 
-    /** Process a single event. @retval false if the queue was empty. */
-    bool step();
-
     /** Total number of events ever executed (for perf benchmarks). */
     std::uint64_t executedEvents() const { return executed; }
 
@@ -168,12 +165,9 @@ class EventQueue
         return a.seq > b.seq;
     }
 
-    bool fireNext();
     std::uint32_t acquireSlot();
     void releaseSlot(std::uint32_t idx);
     void compact();
-    /** Pop the soonest entry off the back; @return its slot index. */
-    std::uint32_t popSoonest();
 
     /** Sorted latest-first: the soonest-firing entry is at the back. */
     std::vector<PendingEntry> pending;

@@ -114,7 +114,6 @@ class Histogram
     std::uint64_t maxSample() const { return n ? mx : 0; }
     std::uint64_t bucket(std::size_t i) const { return counts.at(i); }
     std::size_t buckets() const { return counts.size(); }
-    std::uint64_t bucketWidth() const { return width; }
     std::uint64_t overflow() const { return counts.back(); }
 
     /** Fraction of samples in bucket @p i. */

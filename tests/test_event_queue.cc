@@ -17,7 +17,9 @@ TEST(EventQueue, StartsEmptyAtTickZero)
     EventQueue eq;
     EXPECT_EQ(eq.curTick(), 0u);
     EXPECT_TRUE(eq.empty());
-    EXPECT_FALSE(eq.step());
+    EXPECT_EQ(eq.run(), 0u);
+    EXPECT_EQ(eq.executedEvents(), 0u);
+    EXPECT_EQ(eq.curTick(), 0u);
 }
 
 TEST(EventQueue, FiresInTimeOrder)
