@@ -1,5 +1,7 @@
 #include "fault/fault.hh"
 
+#include <utility>
+
 #include "obs/stat_registry.hh"
 #include "sim/logging.hh"
 
@@ -193,6 +195,48 @@ FaultInjector::resetStats()
         t.ctr.txPoisoned.reset();
         t.ctr.poisonSkips.reset();
     }
+}
+
+void
+DoorbellRecovery::init(EventQueue &eq, FaultInjector *injector,
+                       unsigned vf, EventQueue::Callback fn)
+{
+    faults = injector;
+    tenant = vf;
+    redeliver = std::move(fn);
+    timer.init(eq, [this] { retry(); });
+}
+
+bool
+DoorbellRecovery::ring()
+{
+    if (faults && faults->rollDoorbellDrop(tenant)) {
+        if (!pending())
+            timer.scheduleIn(FaultPlan::doorbellRetryTimeout);
+        return false;
+    }
+    if (pending()) {
+        backoff = 0;
+        timer.cancel();
+    }
+    return true;
+}
+
+void
+DoorbellRecovery::retry()
+{
+    faults->noteDoorbellRetry(tenant);
+    if (faults->rollDoorbellDrop(tenant)) {
+        if (backoff < FaultPlan::doorbellBackoffMax)
+            ++backoff;
+        Tick delay = FaultPlan::doorbellRetryTimeout << backoff;
+        faults->noteDoorbellBackoff(
+            delay - FaultPlan::doorbellRetryTimeout, tenant);
+        timer.scheduleIn(delay);
+        return;
+    }
+    backoff = 0;
+    redeliver();
 }
 
 } // namespace tengig

@@ -34,6 +34,7 @@
 #include <vector>
 
 #include "net/frame.hh"
+#include "sim/clock.hh"
 #include "sim/event_queue.hh"
 #include "sim/random.hh"
 #include "sim/stats.hh"
@@ -331,6 +332,49 @@ class FaultInjector
 
     EventQueue &eq;
     std::vector<Tenant> tenants;
+};
+
+/**
+ * Lost-doorbell recovery for one doorbell register: the host driver's
+ * timeout.  A ring the injector drops arms a retry after
+ * FaultPlan::doorbellRetryTimeout; each retry dropped again re-arms
+ * with the timeout doubled, up to doorbellBackoffMax doublings, and
+ * the delay beyond the base timeout is accounted as doorbell backoff.
+ * Doorbell values are monotonic totals, so a retry redelivers the
+ * latest value and a ring that gets through makes a pending retry
+ * stale.  Used by the controller's physical doorbells and by every
+ * VF's virtual doorbell (VnicMux).
+ */
+class DoorbellRecovery
+{
+  public:
+    /**
+     * @param injector Drop source; null delivers every ring.
+     * @param vf Tenant whose doorbell stream rolls and counts.
+     * @param redeliver Delivers the latest value when a retry gets
+     *        through.
+     */
+    void init(EventQueue &eq, FaultInjector *injector, unsigned vf,
+              EventQueue::Callback redeliver);
+
+    /**
+     * Ring once.  @retval true Delivered: the caller delivers now.
+     * @retval false Lost: a retry redelivers later (an already-armed
+     *         retry covers this ring too).
+     */
+    bool ring();
+
+    /** True while a lost ring awaits its retry. */
+    bool pending() const { return timer.scheduled(); }
+
+  private:
+    void retry();
+
+    FaultInjector *faults = nullptr;
+    unsigned tenant = 0;
+    unsigned backoff = 0; //!< consecutive failed retries
+    RecurringEvent timer;
+    EventQueue::Callback redeliver;
 };
 
 } // namespace tengig

@@ -82,7 +82,6 @@ NicController::build()
         VnicMux::Config vc;
         vc.vfs = cfg.vfs;
         vc.sendRingFrames = cfg.sendRingFrames;
-        vc.rxSlots = cfg.firmware.rxSlots;
         vnic = std::make_unique<VnicMux>(eq, vc, injector.get());
     } else if (cfg.faults.enabled()) {
         injector = std::make_unique<FaultInjector>(cfg.faults, eq);
@@ -250,8 +249,16 @@ NicController::build()
 
     // Doorbells go through the lost-notification recovery channels;
     // with injection disabled ringDoorbell() is a direct passthrough.
-    sendDb.retry.init(eq, [this] { doorbellRetry(sendDb, true); });
-    recvDb.retry.init(eq, [this] { doorbellRetry(recvDb, false); });
+    // vnic runs model doorbell loss on the per-tenant *virtual*
+    // doorbells inside the mux; the shared physical mailbox write
+    // stays reliable so one tenant's storm cannot eat another's ring.
+    FaultInjector *mailboxFaults = vnic ? nullptr : injector.get();
+    sendDb.recovery.init(eq, mailboxFaults, 0, [this] {
+        tasks->sendDoorbell(sendDb.latest);
+    });
+    recvDb.recovery.init(eq, mailboxFaults, 0, [this] {
+        tasks->recvDoorbell(recvDb.latest);
+    });
     driver->onSendDoorbell([this](std::uint64_t bds) {
         ringDoorbell(sendDb, bds, true);
     });
@@ -301,51 +308,8 @@ NicController::ringDoorbell(DoorbellChannel &ch, std::uint64_t value,
     // Doorbell values are monotonic totals, so the latest subsumes any
     // earlier (possibly lost) ring and redelivery is idempotent.
     ch.latest = std::max(ch.latest, value);
-    // vnic runs model doorbell loss on the per-tenant *virtual*
-    // doorbells inside the mux; the shared physical mailbox write
-    // stays reliable so one tenant's storm cannot eat another's ring.
-    if (injector && !vnic && injector->rollDoorbellDrop()) {
-        // The mailbox write vanished.  The host driver's timeout
-        // notices and retries; an already-armed retry covers this ring
-        // too (it delivers `latest`).
-        if (!ch.pending) {
-            ch.pending = true;
-            ch.backoff = 0;
-            ch.retry.scheduleIn(FaultPlan::doorbellRetryTimeout);
-        }
+    if (!ch.recovery.ring())
         return;
-    }
-    // Delivered: any pending retry is now stale.
-    if (ch.pending) {
-        ch.pending = false;
-        ch.backoff = 0;
-        ch.retry.cancel();
-    }
-    if (send)
-        tasks->sendDoorbell(ch.latest);
-    else
-        tasks->recvDoorbell(ch.latest);
-}
-
-void
-NicController::doorbellRetry(DoorbellChannel &ch, bool send)
-{
-    injector->noteDoorbellRetry();
-    if (injector->rollDoorbellDrop()) {
-        // Retry lost too: back off exponentially (bounded), and
-        // account the extra delay beyond the base timeout so the
-        // fault stat tree exposes the recovery cost (doorbell.retries
-        // counts the re-rings, doorbell.backoff_ticks this slack).
-        if (ch.backoff < FaultPlan::doorbellBackoffMax)
-            ++ch.backoff;
-        Tick delay = FaultPlan::doorbellRetryTimeout << ch.backoff;
-        injector->noteDoorbellBackoff(
-            delay - FaultPlan::doorbellRetryTimeout);
-        ch.retry.scheduleIn(delay);
-        return;
-    }
-    ch.pending = false;
-    ch.backoff = 0;
     if (send)
         tasks->sendDoorbell(ch.latest);
     else

@@ -271,20 +271,15 @@ class NicController
 
     /// @name Doorbell delivery with lost-notification recovery
     /// Mailbox writes can be dropped by the fault injector; the host
-    /// driver's timeout rearms them with bounded exponential backoff.
-    /// Values are monotonic totals, so delivering the latest is always
-    /// correct and redelivery is idempotent.
+    /// driver's timeout redelivers the latest value (DoorbellRecovery).
     /// @{
     struct DoorbellChannel
     {
         std::uint64_t latest = 0; //!< newest value the driver rang
-        bool pending = false;     //!< a dropped ring awaits retry
-        unsigned backoff = 0;     //!< consecutive failed retries
-        RecurringEvent retry;
+        DoorbellRecovery recovery;
     };
     void ringDoorbell(DoorbellChannel &ch, std::uint64_t value,
                       bool send);
-    void doorbellRetry(DoorbellChannel &ch, bool send);
     /// @}
 
     bool vnicOn() const { return !cfg.vfs.empty(); }

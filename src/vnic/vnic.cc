@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "firmware/fw_state.hh"
 #include "obs/stat_registry.hh"
 #include "sim/logging.hh"
 #include "sim/random.hh"
@@ -64,9 +65,14 @@ VnicMux::VnicMux(EventQueue &eq_, const Config &cfg_,
         f->admitBucket = TokenBucket(vc.txRateGbps, vc.burstBytes);
         f->commitBucket = TokenBucket(vc.txRateGbps, vc.burstBytes);
         f->rxBucket = TokenBucket(vc.rxRateGbps, vc.burstBytes);
-        f->dbRetry.init(eq, [this, i] {
-            doorbellRetry(static_cast<unsigned>(i));
-        });
+        // A redelivered doorbell announces the lost batch and wakes
+        // the posting boundary.
+        f->doorbell.init(eq, faults, static_cast<unsigned>(i),
+                         [this, vf = f.get()] {
+                             vf->visible = vf->produced;
+                             if (onTxEligible)
+                                 onTxEligible();
+                         });
         vfs.push_back(std::move(f));
     }
     fatal_if(txBases.back() > maxFlowId + 1 ||
@@ -75,7 +81,9 @@ VnicMux::VnicMux(EventQueue &eq_, const Config &cfg_,
              "space");
 
     txSeqVf.assign(std::max(1u, cfg.sendRingFrames), 0);
-    rxSeqVf.assign(2 * std::max(1u, cfg.rxSlots) + 64, 0);
+    // Accepted rx frames wait in the firmware's SDRAM rx slots until
+    // processed, so the attribution ring spans twice those, plus slack.
+    rxSeqVf.assign(2 * FwConfig::rxSlots + 64, 0);
 
     refill.init(eq, [this] {
         if (onTxEligible)
@@ -94,7 +102,7 @@ void
 VnicMux::ensureProduced(unsigned vf)
 {
     Vf &f = *vfs[vf];
-    if (!f.sched || f.dbPending || f.visible > f.served)
+    if (!f.sched || f.doorbell.pending() || f.visible > f.served)
         return;
     // The tenant is a backlogged sender: whenever the scheduler has
     // drained everything it announced, the next batch is already
@@ -102,37 +110,11 @@ VnicMux::ensureProduced(unsigned vf)
     if (f.produced == f.served)
         f.produced += Config::txProduceBatch;
     ++f.dbRings;
-    if (faults && faults->rollDoorbellDrop(vf)) {
-        // This tenant's doorbell write vanished; its batch stays
-        // invisible (the VF is simply not backlogged) until its
-        // private retry timer redelivers.  Other VFs are untouched.
-        f.dbPending = true;
-        f.dbBackoff = 0;
-        f.dbRetry.scheduleIn(FaultPlan::doorbellRetryTimeout);
-        return;
-    }
-    f.visible = f.produced;
-}
-
-void
-VnicMux::doorbellRetry(unsigned vf)
-{
-    Vf &f = *vfs[vf];
-    faults->noteDoorbellRetry(vf);
-    if (faults->rollDoorbellDrop(vf)) {
-        if (f.dbBackoff < FaultPlan::doorbellBackoffMax)
-            ++f.dbBackoff;
-        Tick delay = FaultPlan::doorbellRetryTimeout << f.dbBackoff;
-        faults->noteDoorbellBackoff(delay - FaultPlan::doorbellRetryTimeout,
-                                    vf);
-        f.dbRetry.scheduleIn(delay);
-        return;
-    }
-    f.dbPending = false;
-    f.dbBackoff = 0;
-    f.visible = f.produced;
-    if (onTxEligible)
-        onTxEligible();
+    // A lost doorbell write leaves this tenant's batch invisible (the
+    // VF is simply not backlogged) until its private retry timer
+    // redelivers.  Other VFs are untouched.
+    if (f.doorbell.ring())
+        f.visible = f.produced;
 }
 
 void

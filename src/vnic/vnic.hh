@@ -66,7 +66,6 @@ class VnicMux
     {
         std::vector<VfConfig> vfs;
         unsigned sendRingFrames = 1024; //!< tx vf-of-seq ring span
-        unsigned rxSlots = 256;         //!< rx attribution ring sizing
         static constexpr unsigned drrQuantumBytes = 2048;
         /** Frames a tenant writes into its virtual ring per doorbell. */
         static constexpr unsigned txProduceBatch = 64;
@@ -198,9 +197,7 @@ class VnicMux
         std::uint64_t produced = 0; //!< written by the tenant
         std::uint64_t visible = 0;  //!< announced by a delivered doorbell
         std::uint64_t served = 0;   //!< pulled by nextTxFrame
-        bool dbPending = false;     //!< a dropped doorbell awaits retry
-        unsigned dbBackoff = 0;
-        RecurringEvent dbRetry;
+        DoorbellRecovery doorbell;
         /// @}
 
         /// @name Prefetched head frame (sampled once, served once)
@@ -230,7 +227,6 @@ class VnicMux
      *  dry (production is batched; a lost doorbell leaves the batch
      *  invisible until the retry timer redelivers). */
     void ensureProduced(unsigned vf);
-    void doorbellRetry(unsigned vf);
     bool backlogged(unsigned vf) const;
     void armRefill(Tick when);
 
