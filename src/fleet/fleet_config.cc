@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 #include <utility>
 
 #include "net/frame.hh"
@@ -30,8 +31,13 @@ void
 FleetConfig::validate() const
 {
     fatal_if(nodes.empty(), "a fleet needs at least one node");
-    for (const NicConfig &n : nodes)
-        n.validate();
+    for (std::size_t i = 0; i < nodes.size(); ++i) {
+        try {
+            nodes[i].validate();
+        } catch (const FatalError &e) {
+            fatalWithContext(e, "node " + std::to_string(i));
+        }
+    }
     fatal_if(syncWindowTicks == 0, "fleet sync window must be nonzero");
     fatal_if(measureTicks == 0, "fleet measure window must be nonzero");
     sw.validate();

@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <iostream>
+#include <string_view>
 
 namespace tengig {
 
@@ -13,6 +14,16 @@ void
 setQuiet(bool quiet)
 {
     quietFlag.store(quiet);
+}
+
+void
+fatalWithContext(const FatalError &e, const std::string &context)
+{
+    constexpr std::string_view prefix = "fatal: ";
+    std::string_view msg = e.what();
+    if (msg.substr(0, prefix.size()) == prefix)
+        msg.remove_prefix(prefix.size());
+    throw FatalError(detail::concat(prefix, context, ": ", msg));
 }
 
 namespace detail {

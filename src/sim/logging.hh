@@ -85,6 +85,15 @@ inform(Args &&...args)
     detail::informImpl(detail::concat(std::forward<Args>(args)...));
 }
 
+/**
+ * Raise @p e again with @p context ahead of its message, keeping its
+ * one "fatal: " prefix and its [file:line] tag, so a check that covers
+ * many parts names the part that failed: "fatal: <context>: <message>
+ * [file:line]".
+ */
+[[noreturn]] void fatalWithContext(const FatalError &e,
+                                   const std::string &context);
+
 /** Globally silence warn()/inform() (useful in property-test loops). */
 void setQuiet(bool quiet);
 

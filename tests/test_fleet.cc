@@ -225,9 +225,11 @@ TEST(FleetConfigT, ValidateChecksEveryNodeConfig)
         fc.validate();
         ADD_FAILURE() << "a zero-core node must be fatal";
     } catch (const FatalError &e) {
-        EXPECT_NE(std::string(e.what()).find("cores must be in"),
-                  std::string::npos)
-            << e.what();
+        // The node is named, and the message keeps one "fatal:" prefix.
+        std::string what = e.what();
+        EXPECT_NE(what.find("node 2: cores must be in"), std::string::npos)
+            << what;
+        EXPECT_EQ(what.rfind("fatal:"), 0u) << what;
     }
 }
 
