@@ -97,7 +97,7 @@ def gate(head_texts, tree_texts, metrics):
         return [], failures
 
     pairs = len(head_texts)
-    lines = ["%-17s %-17s %-30s %-30s %7s %5s" % (
+    lines = ["%-17s %-17s %-36s %-36s %7s %5s" % (
         "workload", "metric", "HEAD median (q1-q3)", "tree median (q1-q3)",
         "ratio", "won")]
     for w in workloads:
@@ -111,7 +111,7 @@ def gate(head_texts, tree_texts, metrics):
                      1.0 if ts[0] == hs[0] else float("inf"))
             won = sum(better(m, t, h) for h, t in zip(head, tree))
             broken = decide(m, ratio)
-            lines.append("%-17s %-17s %-30s %-30s %6.3fx %2d/%-2d%s" % (
+            lines.append("%-17s %-17s %-36s %-36s %6.3fx %2d/%-2d%s" % (
                 w, m["name"], "%.6g (%.6g-%.6g)" % hs,
                 "%.6g (%.6g-%.6g)" % ts, ratio, won, pairs,
                 "  FAIL " + broken if broken else ""))
@@ -122,16 +122,18 @@ def gate(head_texts, tree_texts, metrics):
     return lines, failures
 
 
+SYNTHETIC_WORKLOADS = ("paper_duplex", "imix_rmw", "tasklevel_duplex",
+                       "fleet_ring")
+
+
 def synthetic_run(metrics, scale, index, incorrect=()):
     """One run.py --workload all report with plausible values: each
     workload's base value times a per-run jitter times scale[(w, m)]."""
     base = {SPEED: 13000.0, "setup_s": 0.03, "peak_rss_mb": 15.8,
             "sim_gbps": 19.14, "sim_ipc_per_core": 0.70}
     jitter = (1.00, 0.97, 1.02, 0.99, 1.03)[index % 5]
-    workloads = ("paper_duplex", "imix_rmw", "tasklevel_duplex",
-                 "fleet_ring")
     heads, results = [], []
-    for n, w in enumerate(workloads):
+    for n, w in enumerate(SYNTHETIC_WORKLOADS):
         values = {}
         for m in metrics:
             v = base[m["name"]] * (1 + 0.1 * n)
@@ -149,15 +151,14 @@ def synthetic_run(metrics, scale, index, incorrect=()):
 
 def self_test():
     metrics = load_metrics()
-    every = ("paper_duplex", "imix_rmw", "tasklevel_duplex", "fleet_ring")
     cases = [
         # (case, tree scale, incorrect workloads in tree run 3,
         #  passes, words every failure line must name)
         ("identical sides", {}, (), True, ()),
         ("fleet_ring 15% slower", {("fleet_ring", SPEED): 0.85}, (),
          False, ("fleet_ring", SPEED)),
-        ("every workload 5% slower", {(w, SPEED): 0.95 for w in every}, (),
-         True, ()),
+        ("every workload 5% slower",
+         {(w, SPEED): 0.95 for w in SYNTHETIC_WORKLOADS}, (), True, ()),
         ("a run with correct false", {}, ("imix_rmw",), False,
          ("imix_rmw", "correctness")),
         ("fleet_ring setup_s 30% worse", {("fleet_ring", "setup_s"): 1.30},
