@@ -121,8 +121,8 @@ EventQueue::run(Tick limit)
         // in one burst: the limit compare and curTick store are paid
         // once per distinct tick, not once per event.  Callbacks that
         // schedule more same-tick work land at the back of `pending`
-        // in order, so the burst picks them up exactly as the
-        // one-at-a-time loop would.
+        // in order, so the burst picks them up exactly as firing one
+        // event at a time would.
         Tick t = top.when;
         _curTick = t;
         do {
@@ -134,6 +134,10 @@ EventQueue::run(Tick limit)
                 releaseSlot(i);
                 continue;
             }
+            // Move the callback out and recycle the slot *before*
+            // invoking it, so the callback can schedule (and land in
+            // this slot under a fresh generation) without touching
+            // freed state.
             Callback fn = std::move(slot.fn);
             slot.alive = false;
             ++slot.generation;

@@ -367,9 +367,9 @@ TEST(Golden, FaultStorm)
     runShape("FaultStorm", faultStormConfig());
 }
 
-/// A mostly idle NIC (bench/sim_speed's quick rx-light row): one core
-/// at 200 MHz receiving 20 sparse frames, so nearly all core cycles
-/// are idle polls of the dispatch loop.
+/// A mostly idle NIC: one core at 200 MHz receiving 20 sparse
+/// frames, so nearly all core cycles are idle polls of the dispatch
+/// loop.
 TEST(Golden, QuietReceive)
 {
     NicConfig cfg;

@@ -49,10 +49,11 @@
 # Each side's run.py builds nicbench into that tree's own .bench_build/.
 # The golden-fingerprint suite (tests/test_golden) runs first: a speed
 # number means nothing until every bench workload shape reproduces its
-# committed results, stat-tree and trace fingerprints.  Then PAIRS
-# alternating pairs of `run.py --workload all --seconds SECONDS` run,
-# HEAD first in odd pairs and the working tree first in even ones, and
-# tools/bench_gate.py compares them.  It prints, for each workload and
+# committed results, stat-tree and trace fingerprints.  Then five
+# alternating pairs of `run.py --workload all --seconds 5` run (both
+# fixed in the script, not settable), HEAD first in odd pairs and the
+# working tree first in even ones, and tools/bench_gate.py compares
+# them.  It prints, for each workload and
 # end-to-end metric, both medians, their quartiles, the ratio and the
 # pairs the working tree won.  The gate fails (exit 1) when
 #
