@@ -115,6 +115,23 @@ nicRunMetrics(const NicResults &r)
 }
 
 /**
+ * Faults injected under the fault group at @p fault (`fault` for the
+ * whole NIC, `vf.<name>.fault` for one tenant): the sum of its six
+ * injected classes.
+ */
+inline double
+faultsInjected(const obs::StatGroup &t, const std::string &fault)
+{
+    double n = 0.0;
+    for (const char *k :
+         {".wire.crc_injected", ".wire.trunc_injected",
+          ".wire.runt_injected", ".mem.faults_injected", ".doorbell.lost",
+          ".poison.injected"})
+        n += t.value(fault + k);
+    return n;
+}
+
+/**
  * Parse `--jobs=N` from the command line (sweep parallelism).
  * Returns 1 (serial) when absent; 0 or garbage is clamped to 1.
  */

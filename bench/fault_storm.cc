@@ -19,7 +19,7 @@
  *   - the simulation never hangs (the liveness monitor guards every
  *     run-loop boundary; returning at all is the proof)
  *   - every injected fault is matched by its detection/recovery
- *     counter, and the stat tree agrees with the component counters
+ *     counter
  *   - post-storm throughput recovers to >= 95% of the fault-free rate
  *     within the measured window
  *
@@ -104,20 +104,20 @@ faultMetrics(NicController &nic)
 {
     using obs::json::Value;
     Value f = Value::object();
-    const FaultInjector *inj = nic.faultInjector();
-    if (!inj)
+    const obs::StatGroup &t = nic.statTree();
+    if (!t.findGroup("fault"))
         return f;
-    f.set("totalInjected", inj->totalInjected());
-    f.set("wireCrc", inj->wireCrcInjected());
-    f.set("wireTrunc", inj->wireTruncInjected());
-    f.set("wireRunt", inj->wireRuntInjected());
-    f.set("memFaults", inj->memFaultsInjected());
-    f.set("memRetries", inj->memRetriesTaken());
-    f.set("memDrops", inj->memDropsTaken());
-    f.set("doorbellsLost", inj->doorbellsLost());
-    f.set("doorbellRetries", inj->doorbellRetriesTaken());
-    f.set("txPoisoned", inj->txFramesPoisoned());
-    f.set("poisonSkips", inj->poisonSkipsTaken());
+    f.set("totalInjected", faultsInjected(t, "fault"));
+    f.set("wireCrc", t.value("fault.wire.crc_injected"));
+    f.set("wireTrunc", t.value("fault.wire.trunc_injected"));
+    f.set("wireRunt", t.value("fault.wire.runt_injected"));
+    f.set("memFaults", t.value("fault.mem.faults_injected"));
+    f.set("memRetries", t.value("fault.mem.retries"));
+    f.set("memDrops", t.value("fault.mem.drops"));
+    f.set("doorbellsLost", t.value("fault.doorbell.lost"));
+    f.set("doorbellRetries", t.value("fault.doorbell.retries"));
+    f.set("txPoisoned", t.value("fault.poison.injected"));
+    f.set("poisonSkips", t.value("fault.poison.skips"));
     return f;
 }
 
@@ -135,39 +135,40 @@ checkNoCorruption(NicController &nic, const NicResults &r,
           "corrupted payloads reached the host-side flow validator");
 }
 
-/** Every injected fault accounted for, stat tree included. */
+/** Every injected fault accounted for. */
 void
 checkAccounting(NicController &nic, const NicResults &r)
 {
-    const FaultInjector *inj = nic.faultInjector();
-    check(inj != nullptr, "fault injector missing on a storm run");
-    if (!inj)
+    const obs::StatGroup &t = nic.statTree();
+    check(t.findGroup("fault") != nullptr,
+          "fault stat group missing on a storm run");
+    if (!t.findGroup("fault"))
         return;
     MacRx &rx = nic.macRxAssist();
     MacTx &tx = nic.macTxAssist();
-    const obs::StatGroup &t = nic.statTree();
 
     // The storm really happened, at soak intensity.
     std::uint64_t window_frames = r.txFrames + r.rxFrames;
-    check(inj->totalInjected() >= window_frames / 100,
+    check(static_cast<std::uint64_t>(faultsInjected(t, "fault")) >=
+              window_frames / 100,
           "storm intensity below 1% of frames");
 
     // Wire faults: injected == dropped at the MAC, class by class.
-    check(inj->wireCrcInjected() == rx.crcDrops(),
+    check(t.value("fault.wire.crc_injected") == rx.crcDrops(),
           "CRC injections != MAC CRC drops");
-    check(inj->wireTruncInjected() == rx.truncatedDrops(),
+    check(t.value("fault.wire.trunc_injected") == rx.truncatedDrops(),
           "truncation injections != MAC truncation drops");
-    check(inj->wireRuntInjected() == rx.runtDrops(),
+    check(t.value("fault.wire.runt_injected") == rx.runtDrops(),
           "runt injections != MAC runt drops");
 
     // Memory faults: each one became a retry or a drop, immediately.
-    check(inj->memFaultsInjected() ==
-              inj->memRetriesTaken() + inj->memDropsTaken(),
+    check(t.value("fault.mem.faults_injected") ==
+              t.value("fault.mem.retries") + t.value("fault.mem.drops"),
           "memory faults != retries + drops");
 
     // Poison: skips trail the marks by at most the in-flight slots.
-    std::uint64_t poisoned = inj->txFramesPoisoned();
-    std::uint64_t skips = inj->poisonSkipsTaken();
+    double poisoned = t.value("fault.poison.injected");
+    double skips = t.value("fault.poison.skips");
     check(skips <= poisoned, "more poison skips than poisoned frames");
     check(poisoned - skips <= nic.config().firmware.txSlots,
           "unskipped poisoned frames exceed the in-flight window");
@@ -175,22 +176,12 @@ checkAccounting(NicController &nic, const NicResults &r)
           "MAC skipped more frames than the firmware marked");
 
     // Doorbells: losses happened and the host retry path engaged.
-    check(inj->doorbellsLost() > 0, "no doorbells lost during storm");
-    check(inj->doorbellRetriesTaken() > 0, "no doorbell retries fired");
+    check(t.value("fault.doorbell.lost") > 0,
+          "no doorbells lost during storm");
+    check(t.value("fault.doorbell.retries") > 0,
+          "no doorbell retries fired");
 
-    // The stat tree mirrors the component counters.
-    check(t.value("fault.wire.crc_injected") ==
-              static_cast<double>(inj->wireCrcInjected()),
-          "stat tree fault.wire.crc_injected mismatch");
-    check(t.value("fault.mem.faults_injected") ==
-              static_cast<double>(inj->memFaultsInjected()),
-          "stat tree fault.mem.faults_injected mismatch");
-    check(t.value("fault.doorbell.lost") ==
-              static_cast<double>(inj->doorbellsLost()),
-          "stat tree fault.doorbell.lost mismatch");
-    check(t.value("fault.poison.skips") ==
-              static_cast<double>(inj->poisonSkipsTaken()),
-          "stat tree fault.poison.skips mismatch");
+    // The MAC's fault subtree mirrors its drop counters.
     check(t.value("fault.macRx.crc_drops") ==
               static_cast<double>(rx.crcDrops()),
           "stat tree fault.macRx.crc_drops mismatch");
@@ -233,7 +224,7 @@ main(int argc, char **argv)
     NicController baseline(base);
     NicResults r0 = baseline.run(warmup, measure);
     checkNoCorruption(baseline, r0, "fault_free");
-    check(baseline.faultInjector() == nullptr,
+    check(baseline.statTree().findGroup("fault") == nullptr,
           "fault hooks present on a disabled plan");
     addRow("fault_free", baseline, r0, "none");
 

@@ -36,6 +36,7 @@
  */
 
 #include <cstdio>
+#include <string>
 #include <vector>
 
 #include "bench/bench_util.hh"
@@ -135,22 +136,53 @@ aggressorVf()
     return v;
 }
 
+/** The stat-tree name of @p vf's subtree (vf.<name>.*). */
+std::string
+vfName(const VnicMux &mux, unsigned vf)
+{
+    std::string name = mux.vfConfig(vf).name;
+    if (name.empty()) {
+        name = "vf";
+        name += std::to_string(vf);
+    }
+    return name;
+}
+
+/** One VF's delivery counters, read off vf.<name>.* at a window edge. */
+struct VfCounts
+{
+    double txPosted = 0;
+    double txFrames = 0;
+    double txPayloadBytes = 0;
+    double rxFrames = 0;
+    double rxPayloadBytes = 0;
+};
+
 /** Per-VF delivered-goodput deltas over the measurement window. */
 struct VfWindow
 {
-    std::vector<VnicMux::VfTotals> start;
-    std::vector<VnicMux::VfTotals> end;
+    std::vector<VfCounts> start;
+    std::vector<VfCounts> end;
 
     std::uint64_t
     txFrames(unsigned vf) const
     {
-        return end[vf].txFrames - start[vf].txFrames;
+        return static_cast<std::uint64_t>(end[vf].txFrames -
+                                          start[vf].txFrames);
     }
 
     std::uint64_t
     rxFrames(unsigned vf) const
     {
-        return end[vf].rxFrames - start[vf].rxFrames;
+        return static_cast<std::uint64_t>(end[vf].rxFrames -
+                                          start[vf].rxFrames);
+    }
+
+    std::uint64_t
+    txPosted(unsigned vf) const
+    {
+        return static_cast<std::uint64_t>(end[vf].txPosted -
+                                          start[vf].txPosted);
     }
 
     double
@@ -170,23 +202,32 @@ struct VfWindow
     }
 };
 
-std::vector<VnicMux::VfTotals>
-snapshot(const VnicMux &mux)
+std::vector<VfCounts>
+snapshot(NicController &nic)
 {
-    std::vector<VnicMux::VfTotals> t;
-    for (unsigned vf = 0; vf < mux.vfCount(); ++vf)
-        t.push_back(mux.totals(vf));
-    return t;
+    const obs::StatGroup &t = nic.statTree();
+    const VnicMux &mux = *nic.vnicMux();
+    std::vector<VfCounts> out;
+    for (unsigned vf = 0; vf < mux.vfCount(); ++vf) {
+        std::string p = "vf." + vfName(mux, vf);
+        VfCounts c;
+        c.txPosted = t.value(p + ".tx.posted");
+        c.txFrames = t.value(p + ".tx.frames");
+        c.txPayloadBytes = t.value(p + ".tx.payloadBytes");
+        c.rxFrames = t.value(p + ".rx.frames");
+        c.rxPayloadBytes = t.value(p + ".rx.payloadBytes");
+        out.push_back(c);
+    }
+    return out;
 }
 
-/** Run one vnic config, snapshotting per-VF totals at the window. */
+/** Run one vnic config, snapshotting per-VF counts at the window. */
 NicResults
 runVnic(NicController &nic, VfWindow &w)
 {
-    VnicMux *mux = nic.vnicMux();
     return nic.runWindow(
-        warmupWindow(), [&] { w.start = snapshot(*mux); },
-        measureWindow(), [&] { w.end = snapshot(*mux); });
+        warmupWindow(), [&] { w.start = snapshot(nic); },
+        measureWindow(), [&] { w.end = snapshot(nic); });
 }
 
 obs::json::Value
@@ -194,25 +235,24 @@ vfMetrics(NicController &nic, const VfWindow &w, Tick measure)
 {
     using obs::json::Value;
     Value all = Value::object();
-    const VnicMux *mux = nic.vnicMux();
-    for (unsigned vf = 0; vf < mux->vfCount(); ++vf) {
+    const obs::StatGroup &t = nic.statTree();
+    const VnicMux &mux = *nic.vnicMux();
+    for (unsigned vf = 0; vf < mux.vfCount(); ++vf) {
+        std::string name = vfName(mux, vf);
+        std::string p = "vf." + name;
         Value v = Value::object();
         v.set("txGbps", w.txGbps(vf, measure));
         v.set("rxGbps", w.rxGbps(vf, measure));
         v.set("txFrames", w.txFrames(vf));
         v.set("rxFrames", w.rxFrames(vf));
-        v.set("txPosted",
-              w.end[vf].txPosted - w.start[vf].txPosted);
-        v.set("rxPoliced", mux->totals(vf).rxPoliced);
-        v.set("commitStalls", mux->totals(vf).commitStalls);
-        v.set("admitDefers", mux->totals(vf).admitDefers);
-        v.set("doorbellRings", mux->totals(vf).doorbellRings);
-        if (const FaultInjector *inj = nic.faultInjector())
-            v.set("faultsInjected", inj->counters(vf).totalInjected());
-        all.set(mux->vfConfig(vf).name.empty()
-                    ? "vf" + std::to_string(vf)
-                    : mux->vfConfig(vf).name,
-                std::move(v));
+        v.set("txPosted", w.txPosted(vf));
+        v.set("rxPoliced", t.value(p + ".rx.policed"));
+        v.set("commitStalls", t.value(p + ".tx.commit_stalls"));
+        v.set("admitDefers", t.value(p + ".tx.admit_defers"));
+        v.set("doorbellRings", t.value(p + ".doorbell.rings"));
+        if (t.findGroup("fault"))
+            v.set("faultsInjected", faultsInjected(t, p + ".fault"));
+        all.set(name, std::move(v));
     }
     return all;
 }
@@ -236,51 +276,47 @@ checkNoCorruption(NicController &nic, const NicResults &r,
 void
 checkBlastRadius(NicController &nic)
 {
-    const FaultInjector *inj = nic.faultInjector();
-    check(inj != nullptr, "fault injector missing on the storm run");
-    if (!inj)
+    const obs::StatGroup &t = nic.statTree();
+    check(t.findGroup("fault") != nullptr,
+          "fault stat group missing on the storm run");
+    if (!t.findGroup("fault"))
         return;
-    check(inj->tenantCount() == 2, "expected one tenant per VF");
+    check(t.has("vf.victim.fault.wire.crc_injected") &&
+              t.has("vf.aggressor.fault.wire.crc_injected"),
+          "expected one fault tenant per VF");
 
     // The victim's streams were never even consulted.
-    const FaultInjector::Counters &vic = inj->counters(0);
-    check(vic.totalInjected() == 0,
+    check(faultsInjected(t, "vf.victim.fault") == 0,
           "faults leaked into the victim tenant");
-    check(vic.memRetries.value() == 0 && vic.memDrops.value() == 0,
+    check(t.value("vf.victim.fault.mem.retries") == 0 &&
+              t.value("vf.victim.fault.mem.drops") == 0,
           "recovery actions charged to the victim tenant");
-    check(vic.doorbellRetries.value() == 0,
+    check(t.value("vf.victim.fault.doorbell.retries") == 0,
           "doorbell retries charged to the victim tenant");
 
     // The aggressor's really happened, at soak intensity...
-    const FaultInjector::Counters &agg = inj->counters(1);
-    check(agg.totalInjected() > 0, "aggressor storm never fired");
-    check(agg.doorbellLost.value() > 0,
+    check(faultsInjected(t, "vf.aggressor.fault") > 0,
+          "aggressor storm never fired");
+    check(t.value("vf.aggressor.fault.doorbell.lost") > 0,
           "no aggressor doorbells lost during the storm");
 
     // ...and every injected fault is matched by its recovery action.
-    check(agg.memFaults.value() ==
-              agg.memRetries.value() + agg.memDrops.value(),
+    check(t.value("vf.aggressor.fault.mem.faults_injected") ==
+              t.value("vf.aggressor.fault.mem.retries") +
+                  t.value("vf.aggressor.fault.mem.drops"),
           "aggressor memory faults != retries + drops");
     MacRx &rx = nic.macRxAssist();
-    check(inj->wireCrcInjected() == rx.crcDrops(),
+    check(t.value("fault.wire.crc_injected") == rx.crcDrops(),
           "CRC injections != MAC CRC drops");
-    check(inj->wireTruncInjected() == rx.truncatedDrops(),
+    check(t.value("fault.wire.trunc_injected") == rx.truncatedDrops(),
           "truncation injections != MAC truncation drops");
-    check(inj->wireRuntInjected() == rx.runtDrops(),
+    check(t.value("fault.wire.runt_injected") == rx.runtDrops(),
           "runt injections != MAC runt drops");
-    std::uint64_t poisoned = agg.txPoisoned.value();
-    std::uint64_t skips = agg.poisonSkips.value();
+    double poisoned = t.value("vf.aggressor.fault.poison.injected");
+    double skips = t.value("vf.aggressor.fault.poison.skips");
     check(skips <= poisoned, "more poison skips than poisoned frames");
     check(poisoned - skips <= nic.config().firmware.txSlots,
           "unskipped poisoned frames exceed the in-flight window");
-
-    // The per-tenant stat subtrees mirror the live counters.
-    const obs::StatGroup &t = nic.statTree();
-    check(t.value("vf.aggressor.fault.mem.faults_injected") ==
-              static_cast<double>(agg.memFaults.value()),
-          "stat tree vf.aggressor.fault.mem.faults_injected mismatch");
-    check(t.value("vf.victim.fault.doorbell.lost") == 0.0,
-          "stat tree vf.victim.fault.doorbell.lost nonzero");
 }
 
 } // namespace
@@ -351,7 +387,8 @@ main(int argc, char **argv)
     const double weights[3] = {1.0, 2.0, 4.0};
     for (unsigned i = 0; i < 3; ++i) {
         VfConfig v;
-        v.name = "w" + std::to_string(static_cast<int>(weights[i]));
+        v.name = "w";
+        v.name += std::to_string(static_cast<int>(weights[i]));
         v.weight = weights[i];
         v.txTraffic = TrafficProfile::uniform(
             flowsPerVf(), SizeModel::fixed(1472),
@@ -395,7 +432,8 @@ main(int argc, char **argv)
     for (unsigned i = 0; i < manyVfs; ++i) {
         VfConfig v;
         double w = 1.0 + static_cast<double>(i % 4);
-        v.name = "t" + std::to_string(i);
+        v.name = "t";
+        v.name += std::to_string(i);
         v.weight = w;
         manyWeightTotal += w;
         v.txTraffic = TrafficProfile::uniform(
@@ -408,10 +446,9 @@ main(int argc, char **argv)
     // Share convergence needs a few thousand delivered frames (a
     // weight-1 tenant owns only 1/80 of the wire), so this row keeps
     // the full windows even under --quick.
-    VnicMux *manyMux = many.vnicMux();
     NicResults r3 = many.runWindow(
-        2 * tickPerMs, [&] { manyW.start = snapshot(*manyMux); },
-        4 * tickPerMs, [&] { manyW.end = snapshot(*manyMux); });
+        2 * tickPerMs, [&] { manyW.start = snapshot(many); },
+        4 * tickPerMs, [&] { manyW.end = snapshot(many); });
     checkNoCorruption(many, r3, "many_tenants");
     std::uint64_t manyFrames = 0;
     for (unsigned vf = 0; vf < manyVfs; ++vf)

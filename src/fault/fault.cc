@@ -7,12 +7,6 @@
 
 namespace tengig {
 
-FaultInjector::FaultInjector(const FaultPlan &plan, EventQueue &eq_)
-    : eq(eq_)
-{
-    tenants.emplace_back(plan, 0);
-}
-
 FaultInjector::FaultInjector(const std::vector<FaultPlan> &plans,
                              EventQueue &eq_)
     : eq(eq_)
@@ -100,48 +94,11 @@ FaultInjector::rollTxPoison(unsigned vf)
     return true;
 }
 
-namespace {
-
-/** Register one tenant's live counters under the standard names. */
-void
-registerCounterSet(obs::StatGroup &g, const FaultInjector::Counters &c)
-{
-    obs::StatGroup &w = g.group("wire");
-    w.add("crc_injected", c.wireCrc,
-          "frames corrupted (CRC-detectable)");
-    w.add("trunc_injected", c.wireTrunc, "frames truncated on the wire");
-    w.add("runt_injected", c.wireRunt, "frames shrunk below 60 B");
-
-    obs::StatGroup &m = g.group("mem");
-    m.add("faults_injected", c.memFaults,
-          "transient DMA transfer errors");
-    m.add("retries", c.memRetries, "transfers re-issued after a fault");
-    m.add("drops", c.memDrops,
-          "transfers abandoned after a failed retry");
-
-    obs::StatGroup &d = g.group("doorbell");
-    d.add("lost", c.doorbellLost, "doorbell notifications dropped");
-    d.add("retries", c.doorbellRetries, "host timeout-driven re-rings");
-    d.add("backoff_ticks", c.doorbellBackoffTicks,
-          "extra delay accumulated by backed-off retry rearms");
-
-    obs::StatGroup &p = g.group("poison");
-    p.add("injected", c.txPoisoned, "tx frames marked poisoned");
-    p.add("skips", c.poisonSkips, "poisoned frames skipped at commit");
-}
-
-} // namespace
-
 void
 FaultInjector::registerStats(obs::StatGroup &g) const
 {
-    if (tenants.size() == 1) {
-        registerCounterSet(g, tenants[0].ctr);
-        return;
-    }
-    // Multi-tenant: the shared fault tree shows per-class aggregates
-    // under the legacy names; live per-tenant counters hang off the
-    // vf.<id>.fault subtrees (registerTenantStats).
+    // Per-class sums over every tenant; a tenant's own live counters
+    // hang off its vf.<id>.fault subtree (registerTenantStats).
     auto agg = [this](const stats::Counter Counters::*m) {
         return [this, m] { return static_cast<double>(sum(m)); };
     };
@@ -176,25 +133,29 @@ FaultInjector::registerStats(obs::StatGroup &g) const
 void
 FaultInjector::registerTenantStats(obs::StatGroup &g, unsigned vf) const
 {
-    registerCounterSet(g, tenants[vf].ctr);
-}
+    const Counters &c = tenants[vf].ctr;
+    obs::StatGroup &w = g.group("wire");
+    w.add("crc_injected", c.wireCrc,
+          "frames corrupted (CRC-detectable)");
+    w.add("trunc_injected", c.wireTrunc, "frames truncated on the wire");
+    w.add("runt_injected", c.wireRunt, "frames shrunk below 60 B");
 
-void
-FaultInjector::resetStats()
-{
-    for (Tenant &t : tenants) {
-        t.ctr.wireCrc.reset();
-        t.ctr.wireTrunc.reset();
-        t.ctr.wireRunt.reset();
-        t.ctr.memFaults.reset();
-        t.ctr.memRetries.reset();
-        t.ctr.memDrops.reset();
-        t.ctr.doorbellLost.reset();
-        t.ctr.doorbellRetries.reset();
-        t.ctr.doorbellBackoffTicks.reset();
-        t.ctr.txPoisoned.reset();
-        t.ctr.poisonSkips.reset();
-    }
+    obs::StatGroup &m = g.group("mem");
+    m.add("faults_injected", c.memFaults,
+          "transient DMA transfer errors");
+    m.add("retries", c.memRetries, "transfers re-issued after a fault");
+    m.add("drops", c.memDrops,
+          "transfers abandoned after a failed retry");
+
+    obs::StatGroup &d = g.group("doorbell");
+    d.add("lost", c.doorbellLost, "doorbell notifications dropped");
+    d.add("retries", c.doorbellRetries, "host timeout-driven re-rings");
+    d.add("backoff_ticks", c.doorbellBackoffTicks,
+          "extra delay accumulated by backed-off retry rearms");
+
+    obs::StatGroup &p = g.group("poison");
+    p.add("injected", c.txPoisoned, "tx frames marked poisoned");
+    p.add("skips", c.poisonSkips, "poisoned frames skipped at commit");
 }
 
 void

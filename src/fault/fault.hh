@@ -21,6 +21,10 @@
  * tenant cannot perturb -- or even consume randomness from -- any
  * other tenant's streams (DESIGN.md §13).
  *
+ * The injector's counters are read only through the stat tree: the
+ * `fault.*` group holds the per-class sums over every tenant, and
+ * each VF's `vf.<name>.fault.*` group holds its tenant's own.
+ *
  * With a default (all-zero) plan, nothing in the datapath consults
  * the injector: timing, stat trees and bench JSON stay bit-identical
  * to a build without the subsystem, which the determinism guard in
@@ -134,34 +138,8 @@ class FaultClock
 class FaultInjector
 {
   public:
-    /** Injected/recovered counters for one tenant. */
-    struct Counters
-    {
-        stats::Counter wireCrc;
-        stats::Counter wireTrunc;
-        stats::Counter wireRunt;
-        stats::Counter memFaults;
-        stats::Counter memRetries;
-        stats::Counter memDrops;
-        stats::Counter doorbellLost;
-        stats::Counter doorbellRetries;
-        stats::Counter doorbellBackoffTicks;
-        stats::Counter txPoisoned;
-        stats::Counter poisonSkips;
-
-        std::uint64_t
-        totalInjected() const
-        {
-            return wireCrc.value() + wireTrunc.value() +
-                   wireRunt.value() + memFaults.value() +
-                   doorbellLost.value() + txPoisoned.value();
-        }
-    };
-
-    /** Single-function NIC: one tenant driven by @p plan. */
-    FaultInjector(const FaultPlan &plan, EventQueue &eq);
-
-    /** Multi-tenant NIC: one tenant per VF, each with its own plan. */
+    /** One tenant per plan: a single-function NIC passes one plan, a
+     *  vnic NIC one per VF. */
     FaultInjector(const std::vector<FaultPlan> &plans, EventQueue &eq);
 
     std::size_t tenantCount() const { return tenants.size(); }
@@ -184,16 +162,6 @@ class FaultInjector
      * truncation, runt).  @return true when the frame was corrupted.
      */
     bool applyWireFault(FrameData &fd, unsigned vf = 0);
-
-    std::uint64_t wireCrcInjected() const { return sum(&Counters::wireCrc); }
-    std::uint64_t wireTruncInjected() const
-    {
-        return sum(&Counters::wireTrunc);
-    }
-    std::uint64_t wireRuntInjected() const
-    {
-        return sum(&Counters::wireRunt);
-    }
     /// @}
 
     /// @name Transient memory faults (DmaAssist)
@@ -202,16 +170,6 @@ class FaultInjector
     bool rollMemFault(unsigned vf = 0);
     void noteMemRetry(unsigned vf = 0) { ++tenants[vf].ctr.memRetries; }
     void noteMemDrop(unsigned vf = 0) { ++tenants[vf].ctr.memDrops; }
-
-    std::uint64_t memFaultsInjected() const
-    {
-        return sum(&Counters::memFaults);
-    }
-    std::uint64_t memRetriesTaken() const
-    {
-        return sum(&Counters::memRetries);
-    }
-    std::uint64_t memDropsTaken() const { return sum(&Counters::memDrops); }
     /// @}
 
     /// @name Lost doorbells (host driver -> firmware mailbox)
@@ -227,19 +185,6 @@ class FaultInjector
     {
         tenants[vf].ctr.doorbellBackoffTicks += delay;
     }
-
-    std::uint64_t doorbellsLost() const
-    {
-        return sum(&Counters::doorbellLost);
-    }
-    std::uint64_t doorbellRetriesTaken() const
-    {
-        return sum(&Counters::doorbellRetries);
-    }
-    std::uint64_t doorbellBackoffTicks() const
-    {
-        return sum(&Counters::doorbellBackoffTicks);
-    }
     /// @}
 
     /// @name Firmware-visible per-frame poison (tx commit skip)
@@ -250,46 +195,17 @@ class FaultInjector
     {
         ++tenants[vf].ctr.poisonSkips;
     }
-
-    std::uint64_t txFramesPoisoned() const
-    {
-        return sum(&Counters::txPoisoned);
-    }
-    std::uint64_t poisonSkipsTaken() const
-    {
-        return sum(&Counters::poisonSkips);
-    }
     /// @}
 
-    /** All injected faults, summed (for "storm really happened"). */
-    std::uint64_t
-    totalInjected() const
-    {
-        std::uint64_t n = 0;
-        for (const Tenant &t : tenants)
-            n += t.ctr.totalInjected();
-        return n;
-    }
-
-    /** Tenant @p vf's injected/recovered counters. */
-    const Counters &counters(unsigned vf = 0) const
-    {
-        return tenants[vf].ctr;
-    }
-
     /**
-     * Register injected/recovered counters into the stat tree.  A
-     * single-tenant injector registers its live counters (the legacy
-     * tree); a multi-tenant one registers per-class aggregates under
-     * the same names, with per-tenant live counters available via
-     * registerTenantStats().
+     * Register the injected/recovered counters into the stat tree
+     * (the `fault` group): per-class sums over every tenant.
      */
     void registerStats(obs::StatGroup &g) const;
 
-    /** Register tenant @p vf's counters (the vf.<id>.fault subtree). */
+    /** Register tenant @p vf's live counters under the same names
+     *  (the vf.<id>.fault subtree). */
     void registerTenantStats(obs::StatGroup &g, unsigned vf) const;
-
-    void resetStats();
 
   private:
     /// @name Per-site stream ids (stable; never renumber)
@@ -301,6 +217,22 @@ class FaultInjector
     static constexpr std::uint64_t siteDoorbell = 3;
     static constexpr std::uint64_t sitePoison = 4;
     /// @}
+
+    /** Injected/recovered counters for one tenant. */
+    struct Counters
+    {
+        stats::Counter wireCrc;
+        stats::Counter wireTrunc;
+        stats::Counter wireRunt;
+        stats::Counter memFaults;
+        stats::Counter memRetries;
+        stats::Counter memDrops;
+        stats::Counter doorbellLost;
+        stats::Counter doorbellRetries;
+        stats::Counter doorbellBackoffTicks;
+        stats::Counter txPoisoned;
+        stats::Counter poisonSkips;
+    };
 
     struct Tenant
     {

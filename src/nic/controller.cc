@@ -66,7 +66,7 @@ NicController::build()
     // Fault injection and the virtualization layer come first: the
     // driver's pull-mode tx source and the DMA assists capture them.
     // vnic runs derive the injector from the per-VF plans (one tenant
-    // per VF); other runs keep the single-plan injector.
+    // per VF); other runs have one tenant, driven by cfg.faults.
     Cycles wdCycles = cfg.faults.watchdogCycles;
     if (vnicOn()) {
         std::vector<FaultPlan> plans;
@@ -84,7 +84,8 @@ NicController::build()
         vc.sendRingFrames = cfg.sendRingFrames;
         vnic = std::make_unique<VnicMux>(eq, vc, injector.get());
     } else if (cfg.faults.enabled()) {
-        injector = std::make_unique<FaultInjector>(cfg.faults, eq);
+        injector = std::make_unique<FaultInjector>(
+            std::vector<FaultPlan>{cfg.faults}, eq);
     }
 
     // The workload, one profile per direction.  An empty profile is the

@@ -239,10 +239,6 @@ class NicController
 
     FrameGenerator &frameGenerator() { return *source; }
 
-    /** Fault injector; null unless cfg.faults.enabled() or some VF
-     *  carries an enabled fault plan. */
-    FaultInjector *faultInjector() { return injector.get(); }
-
     /** Virtual-function multiplexer; null unless cfg.vfs is set. */
     VnicMux *vnicMux() { return vnic.get(); }
 

@@ -298,24 +298,6 @@ VnicMux::noteRxDelivered(const FrameView &v)
     f.rxPayload += v.len > txHeaderBytes ? v.len - txHeaderBytes : 0;
 }
 
-VnicMux::VfTotals
-VnicMux::totals(unsigned vf) const
-{
-    const Vf &f = *vfs[vf];
-    VfTotals t;
-    t.txPosted = f.txPosted.value();
-    t.txFrames = f.txFrames.value();
-    t.txPayloadBytes = f.txPayload.value();
-    t.rxAccepted = f.rxAccepted.value();
-    t.rxFrames = f.rxFrames.value();
-    t.rxPayloadBytes = f.rxPayload.value();
-    t.rxPoliced = f.rxPoliced.value();
-    t.commitStalls = f.commitStalls.value();
-    t.admitDefers = f.admitDefers.value();
-    t.doorbellRings = f.dbRings.value();
-    return t;
-}
-
 void
 VnicMux::registerStats(obs::StatGroup &g) const
 {

@@ -164,24 +164,6 @@ class VnicMux
     void noteRxDelivered(const FrameView &v);
     /// @}
 
-    /// @name Per-VF results (bench/vf_isolation)
-    /// @{
-    struct VfTotals
-    {
-        std::uint64_t txPosted = 0;
-        std::uint64_t txFrames = 0;      //!< delivered on the wire
-        std::uint64_t txPayloadBytes = 0;
-        std::uint64_t rxAccepted = 0;
-        std::uint64_t rxFrames = 0;      //!< delivered to the host
-        std::uint64_t rxPayloadBytes = 0;
-        std::uint64_t rxPoliced = 0;
-        std::uint64_t commitStalls = 0;
-        std::uint64_t admitDefers = 0;
-        std::uint64_t doorbellRings = 0;
-    };
-    VfTotals totals(unsigned vf) const;
-    /// @}
-
     /** Register the per-tenant stat subtrees: @p g gains one child
      *  group per VF (named by VfConfig::name or "vf<i>"). */
     void registerStats(obs::StatGroup &g) const;

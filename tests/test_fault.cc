@@ -14,6 +14,7 @@
 #include "fault/fault.hh"
 #include "fault/watchdog.hh"
 #include "nic/controller.hh"
+#include "obs/stat_registry.hh"
 #include "sim/logging.hh"
 
 using namespace tengig;
@@ -63,6 +64,15 @@ healthyFrame(unsigned len = 200)
     return fd;
 }
 
+/** Faults injected under a `fault` group: its six injected classes. */
+double
+injectedTotal(const obs::StatGroup &f)
+{
+    return f.value("wire.crc_injected") + f.value("wire.trunc_injected") +
+           f.value("wire.runt_injected") + f.value("mem.faults_injected") +
+           f.value("doorbell.lost") + f.value("poison.injected");
+}
+
 } // namespace
 
 TEST(FaultInjector, StormWindowGatesEverySite)
@@ -72,7 +82,9 @@ TEST(FaultInjector, StormWindowGatesEverySite)
     plan.wireCrcRate = 1.0;
     plan.stormStart = 1000;
     plan.stormEnd = 2000;
-    FaultInjector inj(plan, eq);
+    FaultInjector inj({plan}, eq);
+    obs::StatGroup f;
+    inj.registerStats(f);
 
     bool before = true, during = false, after = true;
     eq.schedule(500, [&] {
@@ -94,8 +106,8 @@ TEST(FaultInjector, StormWindowGatesEverySite)
     EXPECT_FALSE(before);
     EXPECT_TRUE(during);
     EXPECT_FALSE(after);
-    EXPECT_EQ(inj.wireCrcInjected(), 1u);
-    EXPECT_EQ(inj.totalInjected(), 1u);
+    EXPECT_EQ(f.value("wire.crc_injected"), 1.0);
+    EXPECT_EQ(injectedTotal(f), 1.0);
 }
 
 TEST(FaultInjector, WireFaultClassesAreExclusiveAndCounted)
@@ -105,7 +117,9 @@ TEST(FaultInjector, WireFaultClassesAreExclusiveAndCounted)
     plan.wireCrcRate = 0.2;
     plan.wireTruncateRate = 0.2;
     plan.wireRuntRate = 0.2;
-    FaultInjector inj(plan, eq);
+    FaultInjector inj({plan}, eq);
+    obs::StatGroup f;
+    inj.registerStats(f);
 
     unsigned corrupted = 0;
     for (int i = 0; i < 300; ++i) {
@@ -130,12 +144,12 @@ TEST(FaultInjector, WireFaultClassesAreExclusiveAndCounted)
             break;
         }
     }
-    EXPECT_EQ(inj.wireCrcInjected() + inj.wireTruncInjected() +
-                  inj.wireRuntInjected(),
+    EXPECT_EQ(f.value("wire.crc_injected") + f.value("wire.trunc_injected") +
+                  f.value("wire.runt_injected"),
               corrupted);
-    EXPECT_GT(inj.wireCrcInjected(), 0u);
-    EXPECT_GT(inj.wireTruncInjected(), 0u);
-    EXPECT_GT(inj.wireRuntInjected(), 0u);
+    EXPECT_GT(f.value("wire.crc_injected"), 0.0);
+    EXPECT_GT(f.value("wire.trunc_injected"), 0.0);
+    EXPECT_GT(f.value("wire.runt_injected"), 0.0);
 }
 
 // ---------------------------------------------------------------------
@@ -168,8 +182,10 @@ TEST_F(DmaFaultFixture, FrameTransferRetriesOnceThenDrops)
 {
     FaultPlan plan;
     plan.memFaultRate = 1.0; // every burst completion faults
-    FaultInjector inj(plan, eq);
+    FaultInjector inj({plan}, eq);
     assist.attachFaults(&inj);
+    obs::StatGroup f;
+    inj.registerStats(f);
 
     std::vector<std::uint8_t> payload(256);
     std::iota(payload.begin(), payload.end(), 1);
@@ -186,9 +202,9 @@ TEST_F(DmaFaultFixture, FrameTransferRetriesOnceThenDrops)
 
     EXPECT_TRUE(done);
     EXPECT_TRUE(faulted);
-    EXPECT_EQ(inj.memFaultsInjected(), 2u); // first try + the retry
-    EXPECT_EQ(inj.memRetriesTaken(), 1u);
-    EXPECT_EQ(inj.memDropsTaken(), 1u);
+    EXPECT_EQ(f.value("mem.faults_injected"), 2.0); // try + the retry
+    EXPECT_EQ(f.value("mem.retries"), 1.0);
+    EXPECT_EQ(f.value("mem.drops"), 1.0);
     EXPECT_EQ(assist.commandsCompleted(), 1u);
 
     // The destination was never written.
@@ -201,8 +217,10 @@ TEST_F(DmaFaultFixture, MetadataTransferRetriesUntilClean)
 {
     FaultPlan plan;
     plan.memFaultRate = 0.5;
-    FaultInjector inj(plan, eq);
+    FaultInjector inj({plan}, eq);
     assist.attachFaults(&inj);
+    obs::StatGroup f;
+    inj.registerStats(f);
 
     std::vector<std::uint32_t> bds(16);
     std::iota(bds.begin(), bds.end(), 100);
@@ -219,8 +237,8 @@ TEST_F(DmaFaultFixture, MetadataTransferRetriesUntilClean)
     EXPECT_TRUE(done);
     // Descriptors are never dropped: retry until clean, intact content.
     EXPECT_FALSE(faulted);
-    EXPECT_EQ(inj.memDropsTaken(), 0u);
-    EXPECT_EQ(inj.memRetriesTaken(), inj.memFaultsInjected());
+    EXPECT_EQ(f.value("mem.drops"), 0.0);
+    EXPECT_EQ(f.value("mem.retries"), f.value("mem.faults_injected"));
     for (unsigned i = 0; i < 16; ++i)
         EXPECT_EQ(spad.storage().loadWord(0x400 + 4 * i), 100u + i);
 }
@@ -318,7 +336,6 @@ TEST(NicFaults, DisabledPlanLeavesEveryHookAbsent)
     NicConfig cfg = faultBase();
     ASSERT_FALSE(cfg.faults.enabled());
     NicController nic(cfg);
-    EXPECT_EQ(nic.faultInjector(), nullptr);
     EXPECT_EQ(nic.firmwareWatchdog(), nullptr);
     EXPECT_EQ(nic.statTree().findGroup("fault"), nullptr);
 }
@@ -332,24 +349,21 @@ TEST(NicFaults, WireStormIsDroppedAtTheMacAndFullyAccounted)
     NicController nic(cfg);
     NicResults r = nic.runRxOnly(400, 5 * tickPerMs);
 
-    FaultInjector *inj = nic.faultInjector();
-    ASSERT_NE(inj, nullptr);
+    // The fault subtree is registered on fault-enabled runs.
+    const obs::StatGroup *f = nic.statTree().findGroup("fault");
+    ASSERT_NE(f, nullptr);
     MacRx &rx = nic.macRxAssist();
-    EXPECT_GT(inj->totalInjected(), 0u);
+    EXPECT_GT(injectedTotal(*f), 0.0);
     // Each injected wire-fault class is matched one for one by its
     // MAC drop counter; nothing corrupted reaches the host.
-    EXPECT_EQ(inj->wireCrcInjected(), rx.crcDrops());
-    EXPECT_EQ(inj->wireTruncInjected(), rx.truncatedDrops());
-    EXPECT_EQ(inj->wireRuntInjected(), rx.runtDrops());
+    EXPECT_EQ(f->value("wire.crc_injected"), rx.crcDrops());
+    EXPECT_EQ(f->value("wire.trunc_injected"), rx.truncatedDrops());
+    EXPECT_EQ(f->value("wire.runt_injected"), rx.runtDrops());
     EXPECT_EQ(nic.deviceDriver().rxFramesDelivered() +
                   rx.malformedDrops() + rx.framesDropped(),
               400u);
     EXPECT_EQ(nic.rxFlowSink().errors(), 0u);
     EXPECT_EQ(r.errors, 0u);
-
-    // The fault subtree is registered on fault-enabled runs.
-    EXPECT_EQ(nic.statTree().value("fault.wire.crc_injected"),
-              static_cast<double>(inj->wireCrcInjected()));
 }
 
 TEST(NicFaults, PoisonedTxFramesSkipWithoutBreakingOrder)
@@ -359,8 +373,8 @@ TEST(NicFaults, PoisonedTxFramesSkipWithoutBreakingOrder)
     NicController nic(cfg);
     nic.runTxOnly(400, 50 * tickPerMs);
 
-    FaultInjector *inj = nic.faultInjector();
-    ASSERT_NE(inj, nullptr);
+    const obs::StatGroup *f = nic.statTree().findGroup("fault");
+    ASSERT_NE(f, nullptr);
     MacTx &tx = nic.macTxAssist();
     FlowSink &sink = nic.txFlowSink();
 
@@ -372,8 +386,8 @@ TEST(NicFaults, PoisonedTxFramesSkipWithoutBreakingOrder)
     EXPECT_EQ(sink.framesReceived() + tx.framesSkipped(), 400u);
     EXPECT_EQ(sink.errors(), 0u);
     EXPECT_EQ(sink.injectedDrops(), tx.framesSkipped());
-    EXPECT_EQ(inj->poisonSkipsTaken(), tx.framesSkipped());
-    EXPECT_EQ(inj->txFramesPoisoned(), inj->poisonSkipsTaken());
+    EXPECT_EQ(f->value("poison.skips"), tx.framesSkipped());
+    EXPECT_EQ(f->value("poison.injected"), f->value("poison.skips"));
 }
 
 TEST(NicFaults, LostDoorbellIsRecoveredByTimeoutRetryWithBackoff)
@@ -387,18 +401,13 @@ TEST(NicFaults, LostDoorbellIsRecoveredByTimeoutRetryWithBackoff)
     NicController nic(cfg);
     nic.runTxOnly(200, 20 * tickPerMs);
 
-    FaultInjector *inj = nic.faultInjector();
-    ASSERT_NE(inj, nullptr);
-    EXPECT_EQ(inj->doorbellsLost(), 2u);
-    EXPECT_EQ(inj->doorbellRetriesTaken(), 2u);
+    const obs::StatGroup &t = nic.statTree();
+    EXPECT_EQ(t.value("fault.doorbell.lost"), 2.0);
+    EXPECT_EQ(t.value("fault.doorbell.retries"), 2.0);
     // The second retry backed off to 2x the base timeout; the slack
     // beyond the base (exactly one extra timeout) is accounted.
-    EXPECT_EQ(inj->doorbellBackoffTicks(), cfg.faults.doorbellRetryTimeout);
-    // And the recovery cost is exported on the fault stat tree.
-    EXPECT_DOUBLE_EQ(nic.statTree().value("fault.doorbell.retries"),
-                     static_cast<double>(inj->doorbellRetriesTaken()));
-    EXPECT_DOUBLE_EQ(nic.statTree().value("fault.doorbell.backoff_ticks"),
-                     static_cast<double>(inj->doorbellBackoffTicks()));
+    EXPECT_EQ(t.value("fault.doorbell.backoff_ticks"),
+              static_cast<double>(cfg.faults.doorbellRetryTimeout));
     EXPECT_EQ(nic.deviceDriver().txFramesConsumed(), 200u);
     EXPECT_EQ(nic.txFlowSink().framesReceived(), 200u);
     EXPECT_EQ(nic.txFlowSink().errors(), 0u);
@@ -411,12 +420,12 @@ TEST(NicFaults, TransientMemoryFaultsDegradeWithoutCorruption)
     NicController nic(cfg);
     NicResults r = nic.run(200 * tickPerUs, 500 * tickPerUs);
 
-    FaultInjector *inj = nic.faultInjector();
-    ASSERT_NE(inj, nullptr);
-    EXPECT_GT(inj->memFaultsInjected(), 0u);
+    const obs::StatGroup *f = nic.statTree().findGroup("fault");
+    ASSERT_NE(f, nullptr);
+    EXPECT_GT(f->value("mem.faults_injected"), 0.0);
     // Every injected fault became either a retry or a drop...
-    EXPECT_EQ(inj->memFaultsInjected(),
-              inj->memRetriesTaken() + inj->memDropsTaken());
+    EXPECT_EQ(f->value("mem.faults_injected"),
+              f->value("mem.retries") + f->value("mem.drops"));
     // ...and no partially-transferred frame was ever shipped.
     EXPECT_EQ(r.errors, 0u);
     EXPECT_EQ(r.integrityErrors, 0u);

@@ -13,6 +13,7 @@
 #include <map>
 #include <vector>
 
+#include "obs/stat_registry.hh"
 #include "sim/event_queue.hh"
 #include "traffic/traffic_profile.hh"
 #include "vnic/arbiter.hh"
@@ -261,6 +262,8 @@ TEST(VnicMux, AdmissionBucketConfinesARateLimitedTenant)
     // after its burst VF 0 must win nothing more while VF 1 keeps the
     // link (work conservation).
     VnicMux mux(eq, twoTenantConfig(1.0), nullptr);
+    obs::StatGroup vf;
+    mux.registerStats(vf);
     std::uint64_t seq = 0;
     for (int i = 0; i < 64; ++i) {
         auto next = mux.nextTxFrame(seq);
@@ -269,10 +272,8 @@ TEST(VnicMux, AdmissionBucketConfinesARateLimitedTenant)
         EXPECT_EQ(vf, mux.txVfOfFlow(next->first));
         ++seq;
     }
-    auto t0 = mux.totals(0);
-    auto t1 = mux.totals(1);
-    EXPECT_EQ(t0.txPosted, 1u); // exactly the initial burst
-    EXPECT_EQ(t1.txPosted, 63u);
+    EXPECT_EQ(vf.value("limited.tx.posted"), 1.0); // the initial burst
+    EXPECT_EQ(vf.value("open.tx.posted"), 63.0);
 }
 
 TEST(VnicMux, ExhaustedLoneTenantDefersUntilRefill)
@@ -285,14 +286,16 @@ TEST(VnicMux, ExhaustedLoneTenantDefersUntilRefill)
     v.txTraffic = fixedProfile(1, 1472, 1.0, 0xdd);
     c.vfs = {v};
     VnicMux mux(eq, c, nullptr);
+    obs::StatGroup vf;
+    mux.registerStats(vf);
     // The burst covers exactly one frame; with the clock parked the
     // second pull has no eligible VF and must defer (arming the
     // refill wake-up rather than spinning).
     ASSERT_TRUE(mux.nextTxFrame(0).has_value());
     EXPECT_FALSE(mux.nextTxFrame(1).has_value());
     EXPECT_FALSE(mux.nextTxFrame(1).has_value());
-    EXPECT_GE(mux.totals(0).admitDefers, 2u);
-    EXPECT_EQ(mux.totals(0).txPosted, 1u);
+    EXPECT_GE(vf.value("vf0.tx.admit_defers"), 2.0);
+    EXPECT_EQ(vf.value("vf0.tx.posted"), 1.0);
 }
 
 TEST(VnicMux, UnlimitedTenantsSplitByDrrWeight)
@@ -306,19 +309,22 @@ TEST(VnicMux, UnlimitedTenantsSplitByDrrWeight)
         c.vfs.push_back(v);
     }
     VnicMux mux(eq, c, nullptr);
+    obs::StatGroup vf;
+    mux.registerStats(vf);
     for (std::uint64_t seq = 0; seq < 4000; ++seq)
         ASSERT_TRUE(mux.nextTxFrame(seq).has_value());
-    auto t0 = mux.totals(0);
-    auto t1 = mux.totals(1);
-    double share0 = static_cast<double>(t0.txPosted) / 4000.0;
-    EXPECT_NEAR(share0, 0.25, 0.02);
-    EXPECT_EQ(t0.txPosted + t1.txPosted, 4000u);
+    double posted0 = vf.value("vf0.tx.posted");
+    double posted1 = vf.value("vf1.tx.posted");
+    EXPECT_NEAR(posted0 / 4000.0, 0.25, 0.02);
+    EXPECT_EQ(posted0 + posted1, 4000.0);
 }
 
 TEST(VnicMux, CommitGateChargesPayloadBytesOnly)
 {
     EventQueue eq;
     VnicMux mux(eq, twoTenantConfig(1.0), nullptr);
+    obs::StatGroup vf;
+    mux.registerStats(vf);
     // Post one VF-0 frame so seq 0 belongs to the limited tenant.
     auto first = mux.nextTxFrame(0);
     ASSERT_TRUE(first.has_value());
@@ -330,7 +336,7 @@ TEST(VnicMux, CommitGateChargesPayloadBytesOnly)
     EXPECT_TRUE(mux.commitAdmit(0, txHeaderBytes + 1472));
     EXPECT_FALSE(mux.commitPeek(0, txHeaderBytes + 1472));
     EXPECT_FALSE(mux.commitAdmit(0, txHeaderBytes + 1472));
-    EXPECT_GT(mux.totals(0).commitStalls, 0u);
+    EXPECT_GT(vf.value("limited.tx.commit_stalls"), 0.0);
 }
 
 TEST(VnicMux, RxPolicerDropsBeyondContractAndCountsThem)
@@ -340,11 +346,13 @@ TEST(VnicMux, RxPolicerDropsBeyondContractAndCountsThem)
     c.vfs[0].rxRateGbps = 1.0;
     c.vfs[0].rxTraffic = fixedProfile(1, 1472, 0.1, 0xcc);
     VnicMux mux(eq, c, nullptr);
+    obs::StatGroup vf;
+    mux.registerStats(vf);
     // One burst's worth passes, the next arrival at the same tick is
     // policed; the unlimited tenant is untouched.
     EXPECT_TRUE(mux.rxAdmit(0, 1472));
     EXPECT_FALSE(mux.rxAdmit(0, 1472));
     EXPECT_TRUE(mux.rxAdmit(1, 1 << 20));
-    EXPECT_EQ(mux.totals(0).rxPoliced, 1u);
-    EXPECT_EQ(mux.totals(1).rxPoliced, 0u);
+    EXPECT_EQ(vf.value("limited.rx.policed"), 1.0);
+    EXPECT_EQ(vf.value("open.rx.policed"), 0.0);
 }
