@@ -28,13 +28,14 @@
  *                  lost acks; receiver retries == MAC refusals;
  *                  measured receive throughput >= 95% of baseline
  *   determinism    the storm_reliable fleet on 1 vs 4 threads:
- *                  bit-identical fingerprints and recovery accounting
+ *                  bit-identical fingerprints and fleet stat trees
  *
  * --json[=path] writes a tengig-bench-v1 document (default
  * BENCH_fleet_chaos.json); --quick shrinks windows for the smoke run.
  */
 
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -121,10 +122,52 @@ rowConfig(const FleetConfig &fc)
     return c;
 }
 
+/** One finished row: the run's results beside its live fleet, whose
+ *  stat tree holds the chaos, health and reliable-delivery counters. */
+struct Row
+{
+    std::unique_ptr<FleetRunner> fleet;
+    FleetResults r;
+
+    /** A fleet stat, or 0 where the row's config never registered it
+     *  (no chaos, no health monitor, no reliable delivery). */
+    double
+    stat(const std::string &path) const
+    {
+        const obs::StatGroup &t = fleet->fleetStats();
+        return t.has(path) ? t.value(path) : 0.0;
+    }
+
+    /** Frames the fabric lost to injected faults. */
+    double
+    faulted() const
+    {
+        return stat("switch.chaos.link_down_kills") +
+               stat("switch.chaos.drops") + stat("switch.chaos.corrupt");
+    }
+
+    double
+    recovered(FabricFaultClass c) const
+    {
+        return stat(std::string("reliable.recovered.") +
+                    fabricFaultClassName(c));
+    }
+
+    double
+    recoveredTotal() const
+    {
+        double n = 0.0;
+        for (unsigned c = 0; c < fabricFaultClassCount; ++c)
+            n += recovered(static_cast<FabricFaultClass>(c));
+        return n;
+    }
+};
+
 obs::json::Value
-rowMetrics(const FleetResults &r)
+rowMetrics(const Row &row)
 {
     using obs::json::Value;
+    const FleetResults &r = row.r;
     Value m = Value::object();
     m.set("hostEventsPerSec", r.eventsPerSec);
     m.set("windows", r.windows);
@@ -135,20 +178,21 @@ rowMetrics(const FleetResults &r)
     m.set("fabricOffered", r.fabricOffered);
     m.set("framesForwarded", r.framesForwarded);
     m.set("framesDropped", r.framesDropped);
-    m.set("linkDownKills", r.fabricLinkDownKills);
-    m.set("fabricDrops", r.fabricDrops);
-    m.set("fabricCorrupt", r.fabricCorrupt);
-    m.set("fabricAckLost", r.fabricAckLost);
-    m.set("linkDownTicks", r.linkDownTicks);
-    m.set("nodeStallEpisodes", r.nodeStallEpisodes);
-    m.set("heartbeatMisses", r.heartbeatMisses);
+    m.set("linkDownKills", row.stat("switch.chaos.link_down_kills"));
+    m.set("fabricDrops", row.stat("switch.chaos.drops"));
+    m.set("fabricCorrupt", row.stat("switch.chaos.corrupt"));
+    m.set("fabricAckLost", row.stat("switch.chaos.ack_lost"));
+    m.set("linkDownTicks", row.stat("switch.chaos.link_down_ticks"));
+    m.set("nodeStallEpisodes",
+          row.stat("switch.chaos.node_stall_episodes"));
+    m.set("heartbeatMisses", row.stat("health.heartbeat_misses"));
     m.set("unaccountedLoss", r.unaccountedLoss);
-    m.set("retransmits", r.retransmits);
-    m.set("recoveredTotal", r.recoveredTotal);
-    m.set("dupSuppressed", r.dupSuppressed);
-    m.set("rxRefusals", r.rxRefusals);
-    m.set("rxRetries", r.rxRetries);
-    m.set("pendingStormEra", r.reliablePendingStormEra);
+    m.set("retransmits", row.stat("reliable.retransmits"));
+    m.set("recoveredTotal", row.recoveredTotal());
+    m.set("dupSuppressed", row.stat("reliable.dup_suppressed"));
+    m.set("rxRefusals", row.stat("reliable.rx_refusals"));
+    m.set("rxRetries", row.stat("reliable.rx_retries"));
+    m.set("pendingStormEra", row.stat("reliable.pending_storm_era"));
     return m;
 }
 
@@ -187,29 +231,30 @@ main(int argc, char **argv)
                 "rxGbps", "faulted", "recov", "retx", "gaps", "dups",
                 "errors");
 
-    auto runRow = [&](const std::string &name, const FleetConfig &fc)
-        -> FleetResults {
-        FleetRunner fleet(fc);
-        FleetResults r = fleet.run();
-        std::uint64_t faulted = r.fabricLinkDownKills + r.fabricDrops +
-                                r.fabricCorrupt;
+    auto runRow = [&](const std::string &name, const FleetConfig &fc) {
+        Row row;
+        row.fleet = std::make_unique<FleetRunner>(fc);
+        row.r = row.fleet->run();
+        const FleetResults &r = row.r;
         std::printf("%-16s %10.3f %8llu %8llu %8llu %8llu %8llu %8llu\n",
                     name.c_str(), r.aggRxGbps,
-                    static_cast<unsigned long long>(faulted),
-                    static_cast<unsigned long long>(r.recoveredTotal),
-                    static_cast<unsigned long long>(r.retransmits),
+                    static_cast<unsigned long long>(row.faulted()),
+                    static_cast<unsigned long long>(row.recoveredTotal()),
+                    static_cast<unsigned long long>(
+                        row.stat("reliable.retransmits")),
                     static_cast<unsigned long long>(sumGaps(r)),
                     static_cast<unsigned long long>(sumDups(r)),
                     static_cast<unsigned long long>(r.errors));
         check(r.unaccountedLoss == 0,
               "unaccounted cross-node frame loss (ledger broken)");
-        report.addRow(name, rowConfig(fc), rowMetrics(r));
-        return r;
+        report.addRow(name, rowConfig(fc), rowMetrics(row));
+        return row;
     };
 
     // Reference: the same fleet with a quiet fabric.
     FleetConfig base = makeFleet(1);
-    FleetResults rb = runRow("baseline", base);
+    Row baseline = runRow("baseline", base);
+    const FleetResults &rb = baseline.r;
     check(rb.errors == 0, "baseline fleet has validation errors");
     check(sumGaps(rb) == 0, "baseline fleet has receive gaps");
 
@@ -218,7 +263,8 @@ main(int argc, char **argv)
     {
         FleetConfig fc = makeFleet(1);
         fc.healthMonitor = true;
-        FleetResults rh = runRow("health_identity", fc);
+        Row health = runRow("health_identity", fc);
+        const FleetResults &rh = health.r;
         bool same = rh.wireHash == rb.wireHash &&
                     rh.injectHash == rb.injectHash &&
                     rh.framesForwarded == rb.framesForwarded &&
@@ -235,65 +281,68 @@ main(int argc, char **argv)
     {
         FleetConfig fc = makeFleet(1);
         addStorm(fc);
-        FleetResults r = runRow("storm_lossy", fc);
-        std::uint64_t faulted = r.fabricLinkDownKills + r.fabricDrops +
-                                r.fabricCorrupt;
+        Row row = runRow("storm_lossy", fc);
+        const FleetResults &r = row.r;
         check(r.errors == 0,
               "storm delivered corrupted or duplicated payloads");
         check(sumDups(r) == 0, "storm duplicated frames");
-        check(faulted * 100 >= r.fabricOffered,
+        check(row.faulted() * 100 >= static_cast<double>(r.fabricOffered),
               "storm intensity under 1% of offered frames");
-        check(r.fabricLinkDownKills > 0 && r.fabricDrops > 0 &&
-                  r.fabricCorrupt > 0,
+        check(row.stat("switch.chaos.link_down_kills") > 0 &&
+                  row.stat("switch.chaos.drops") > 0 &&
+                  row.stat("switch.chaos.corrupt") > 0,
               "a fault class never fired (storm not exercising "
               "all classes)");
-        check(r.nodeStallEpisodes > 0, "no node-stall episodes fired");
-        check(r.heartbeatMisses > 0,
+        check(row.stat("switch.chaos.node_stall_episodes") > 0,
+              "no node-stall episodes fired");
+        check(row.stat("health.heartbeat_misses") > 0,
               "health monitor missed the induced node stalls");
-        check(r.linkDownTicks > 0, "no link flap down time recorded");
+        check(row.stat("switch.chaos.link_down_ticks") > 0,
+              "no link flap down time recorded");
     }
 
     // Storm with end-to-end reliable delivery: zero loss, zero
     // corruption, exact recovery accounting, full post-storm drain.
-    FleetResults rr;
+    FleetConfig reliableFleet = makeFleet(1);
+    addStorm(reliableFleet);
+    reliableFleet.reliable.enabled = true;
+    Row reliable = runRow("storm_reliable", reliableFleet);
     {
-        FleetConfig fc = makeFleet(1);
-        addStorm(fc);
-        fc.reliable.enabled = true;
-        rr = runRow("storm_reliable", fc);
-        std::uint64_t faulted = rr.fabricLinkDownKills + rr.fabricDrops +
-                                rr.fabricCorrupt;
+        const Row &row = reliable;
+        const FleetResults &rr = row.r;
         check(rr.errors == 0, "reliable storm delivered bad payloads");
         check(sumGaps(rr) == 0,
               "reliable delivery lost cross-node frames (gaps)");
         check(sumDups(rr) == 0,
               "duplicate suppression let a retransmission through");
-        check(faulted * 100 >= rr.fabricOffered,
+        check(row.faulted() * 100 >= static_cast<double>(rr.fabricOffered),
               "storm intensity under 1% of offered frames");
-        check(rr.recoveredByClass[static_cast<unsigned>(
-                  FabricFaultClass::LinkDown)] == rr.fabricLinkDownKills,
+        check(row.recovered(FabricFaultClass::LinkDown) ==
+                  row.stat("switch.chaos.link_down_kills"),
               "link-down kills not exactly recovered");
-        check(rr.recoveredByClass[static_cast<unsigned>(
-                  FabricFaultClass::Drop)] == rr.fabricDrops,
+        check(row.recovered(FabricFaultClass::Drop) ==
+                  row.stat("switch.chaos.drops"),
               "fabric drops not exactly recovered");
-        check(rr.recoveredByClass[static_cast<unsigned>(
-                  FabricFaultClass::Corrupt)] == rr.fabricCorrupt,
+        check(row.recovered(FabricFaultClass::Corrupt) ==
+                  row.stat("switch.chaos.corrupt"),
               "corruptions not exactly recovered");
-        check(rr.recoveredByClass[static_cast<unsigned>(
-                  FabricFaultClass::AckLost)] == rr.fabricAckLost,
+        check(row.recovered(FabricFaultClass::AckLost) ==
+                  row.stat("switch.chaos.ack_lost"),
               "lost acks not exactly recovered");
-        check(rr.recoveredByClass[static_cast<unsigned>(
-                  FabricFaultClass::EgressFull)] == rr.framesDropped,
+        check(row.recovered(FabricFaultClass::EgressFull) ==
+                  static_cast<double>(rr.framesDropped),
               "egress-FIFO drops not exactly recovered");
-        check(rr.reliablePendingStormEra == 0,
+        check(row.stat("reliable.pending_storm_era") == 0,
               "storm-era frames still unrecovered at run end");
-        check(rr.reliableOwedOutstanding == 0,
+        check(row.stat("reliable.owed_outstanding") == 0,
               "known-lost frames never repaid");
-        check(rr.dupSuppressed == rr.fabricAckLost,
+        check(row.stat("reliable.dup_suppressed") ==
+                  row.stat("switch.chaos.ack_lost"),
               "duplicate suppressions != lost acks");
-        check(rr.rxRetries == rr.rxRefusals,
+        check(row.stat("reliable.rx_retries") ==
+                  row.stat("reliable.rx_refusals"),
               "receiver retries != MAC refusals");
-        check(rr.rxBuffered == 0,
+        check(row.stat("reliable.rx_buffered") == 0,
               "frames still parked in reorder buffers at run end");
         check(rr.aggRxGbps >= 0.95 * rb.aggRxGbps,
               "post-storm recovery under 95% of baseline throughput");
@@ -301,22 +350,20 @@ main(int argc, char **argv)
 
     // Chaos determinism: the storm_reliable fleet must be bit-
     // identical on 1 vs 4 worker threads -- every roll happens in the
-    // single-threaded barrier pass.
+    // single-threaded barrier pass.  The fleet stat trees carry every
+    // chaos, health and recovery counter.
     {
         FleetConfig fc = makeFleet(4);
         addStorm(fc);
         fc.reliable.enabled = true;
         FleetRunner threaded(fc);
         FleetResults rt = threaded.run();
+        const FleetResults &rr = reliable.r;
 
         bool same = rt.wireHash == rr.wireHash &&
                     rt.injectHash == rr.injectHash &&
-                    rt.framesForwarded == rr.framesForwarded &&
-                    rt.retransmits == rr.retransmits &&
-                    rt.recoveredTotal == rr.recoveredTotal &&
-                    rt.dupSuppressed == rr.dupSuppressed &&
-                    rt.nodeStallEpisodes == rr.nodeStallEpisodes &&
-                    rt.heartbeatMisses == rr.heartbeatMisses;
+                    threaded.fleetStats().toJson().dump() ==
+                        reliable.fleet->fleetStats().toJson().dump();
         for (std::size_t i = 0; same && i < rr.nic.size(); ++i)
             same = rt.nic[i].txFrames == rr.nic[i].txFrames &&
                    rt.nic[i].rxFrames == rr.nic[i].rxFrames &&
@@ -329,7 +376,8 @@ main(int argc, char **argv)
         using obs::json::Value;
         Value m = Value::object();
         m.set("identical", same);
-        m.set("retransmits", rt.retransmits);
+        m.set("retransmits",
+              threaded.fleetStats().value("reliable.retransmits"));
         report.addRow("determinism t1-vs-t4", rowConfig(fc),
                       std::move(m));
     }

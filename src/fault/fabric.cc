@@ -125,22 +125,9 @@ FabricFaultInjector::rollNodeStall(unsigned node, Tick now, Tick window)
     return std::make_pair(start, dur);
 }
 
-std::uint64_t
-FabricFaultInjector::linkDownTicks(unsigned link) const
-{
-    return links[link].downTicks.value();
-}
-
-std::uint64_t
-FabricFaultInjector::totalLinkDownTicks() const
-{
-    return sumLink(&Link::downTicks);
-}
-
 void
 FabricFaultInjector::finalize(Tick horizon)
 {
-    finalized = horizon;
     for (Link &l : links) {
         extendFlaps(l, horizon);
         l.downTicks.reset();
@@ -173,18 +160,18 @@ FabricFaultInjector::registerStats(obs::StatGroup &g)
                "reliable-delivery acks lost on this link");
     }
     obs::StatGroup &c = g.group("chaos");
-    c.derived("link_down_kills",
-              [this] { return static_cast<double>(linkDownKills()); },
+    auto all = [this](const stats::Counter Link::*m) {
+        return [this, m] { return static_cast<double>(sumLink(m)); };
+    };
+    c.derived("link_down_kills", all(&Link::downKills),
               "frames lost to down links, all links");
-    c.derived("drops",
-              [this] { return static_cast<double>(dropsInjected()); },
+    c.derived("drops", all(&Link::drops),
               "frames dropped mid-fabric, all links");
-    c.derived("corrupt",
-              [this] { return static_cast<double>(corruptInjected()); },
+    c.derived("corrupt", all(&Link::corrupt),
               "frames corrupted in transit, all links");
-    c.derived("ack_lost",
-              [this] { return static_cast<double>(ackLostInjected()); },
-              "acks lost, all links");
+    c.derived("ack_lost", all(&Link::ackLost), "acks lost, all links");
+    c.derived("link_down_ticks", all(&Link::downTicks),
+              "ticks spent in flap down windows, summed over links");
     c.add("node_stall_episodes", stallEpisodes,
           "induced node-stall episodes (frozen firmware cores)");
     c.add("node_stall_ticks", stallTicks,

@@ -154,18 +154,10 @@ class FabricFaultInjector
     std::optional<std::pair<Tick, Tick>>
     rollNodeStall(unsigned node, Tick now, Tick window);
 
-    /// @name Whole-run accounting
+    /// @name Whole-run accounting (the fleet's delivery ledger)
     /// @{
     std::uint64_t linkDownKills() const { return sumLink(&Link::downKills); }
     std::uint64_t dropsInjected() const { return sumLink(&Link::drops); }
-    std::uint64_t corruptInjected() const { return sumLink(&Link::corrupt); }
-    std::uint64_t ackLostInjected() const { return sumLink(&Link::ackLost); }
-    std::uint64_t nodeStallEpisodes() const { return stallEpisodes.value(); }
-
-    /** Total down time of @p link clipped to [0, horizon) -- call
-     *  finalize(horizon) first for an exact whole-run figure. */
-    std::uint64_t linkDownTicks(unsigned link) const;
-    std::uint64_t totalLinkDownTicks() const;
 
     /** Extend every link's flap generation through @p horizon so the
      *  down_ticks stats cover the whole run. */
@@ -174,8 +166,9 @@ class FabricFaultInjector
 
     /**
      * Register the fabric fault surface into @p g (the fleet "switch"
-     * subtree): per-link `link<i>.down_ticks` / `link<i>.degraded_windows`
-     * plus the per-class injected totals under `chaos.*`.
+     * subtree): per-link `link<i>.*` counters plus the per-class
+     * injected totals and the summed down time under `chaos.*`.
+     * Down ticks are exact once finalize() has run.
      */
     void registerStats(obs::StatGroup &g);
 
@@ -254,7 +247,6 @@ class FabricFaultInjector
     std::vector<NodeStall> stalls;
     stats::Counter stallEpisodes;
     stats::Counter stallTicks;
-    Tick finalized = 0;
 };
 
 } // namespace tengig

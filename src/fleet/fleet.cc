@@ -201,7 +201,17 @@ FleetRunner::FleetRunner(const FleetConfig &c) : cfg(c)
     if (cfg.reliable.enabled) {
         rto = cfg.minRetransmitTimeout();
         relay = std::make_unique<ReliableSender>(rto);
-        relay->registerStats(fleetRoot.group("reliable"));
+        obs::StatGroup &rg = fleetRoot.group("reliable");
+        relay->registerStats(rg);
+        // The post-storm recovery contract: 0 once every frame first
+        // sent before the storm ended is acked.
+        rg.derived("pending_storm_era",
+                   [this] {
+                       Tick end = cfg.fabricFaults.stormEnd;
+                       return static_cast<double>(
+                           end ? relay->pendingOlderThan(end) : 0);
+                   },
+                   "tracked frames first sent before the storm ended");
     }
 
     for (unsigned i = 0; i < m; ++i) {
@@ -254,6 +264,18 @@ FleetRunner::FleetRunner(const FleetConfig &c) : cfg(c)
         rg.derived("rx_buffered",
                    [sumRx] { return sumRx(&ReliableReceiver::buffered); },
                    "frames parked in receive reorder buffers");
+    } else if (chaos) {
+        // Without reliable delivery the link port's CRC check runs in
+        // the receipt event itself (offerFrame), counted per node.
+        fleetRoot.group("switch").group("chaos").derived(
+            "corrupt_discarded",
+            [this] {
+                std::uint64_t n = 0;
+                for (const auto &np : nodes)
+                    n += np->corruptDiscards;
+                return static_cast<double>(n);
+            },
+            "frames discarded by the link-port CRC check");
     }
 
     if (cfg.healthMonitor || chaos) {
@@ -393,9 +415,8 @@ FleetRunner::offerFrame(unsigned src, Tick sent, FrameData &&frame,
 }
 
 void
-FleetRunner::exchange(Tick now, FleetResults &res)
+FleetRunner::exchange(Tick now)
 {
-    (void)res;
     if (fabric) {
         // Acks land before timeouts are judged: a frame whose ack
         // arrived by this barrier can never be spuriously retransmitted
@@ -460,7 +481,7 @@ FleetRunner::exchange(Tick now, FleetResults &res)
                 chaos->noteDegradedWindow(i);
 
     if (health)
-        health->sample(now);
+        health->sample();
 }
 
 FleetResults
@@ -544,7 +565,7 @@ FleetRunner::run()
         auto c0 = Clock::now();
         windowTo(until);
         auto c1 = Clock::now();
-        exchange(until, res);
+        exchange(until);
         windowTime += c1 - c0;
         exchangeTime += Clock::now() - c1;
         ++res.windows;
@@ -640,60 +661,25 @@ FleetRunner::run()
     }
 
     res.fabricOffered = offered;
-    if (chaos) {
+    if (chaos)
         chaos->finalize(t); // t includes any drain windows past `end`
-        res.fabricLinkDownKills = chaos->linkDownKills();
-        res.fabricDrops = chaos->dropsInjected();
-        res.fabricCorrupt = chaos->corruptInjected();
-        res.fabricAckLost = chaos->ackLostInjected();
-        res.linkDownTicks = chaos->totalLinkDownTicks();
-        res.nodeStallEpisodes = chaos->nodeStallEpisodes();
-    }
-    if (health)
-        res.heartbeatMisses = health->heartbeatMissesTotal();
 
     std::uint64_t receiptsRun = 0;
     for (const auto &n : nodes) {
         receiptsRun += n->receiptsRun;
-        res.corruptDiscarded += n->corruptDiscards;
-        res.crossDelivered += n->injectDelivered;
+        res.crossDelivered +=
+            n->rrx ? n->rrx->deliveredTotal() : n->injectDelivered;
     }
     if (fabric) {
         // The delivery ledger: every offered frame is either forwarded
         // or accounted to exactly one loss class.  Any residue is a
         // bookkeeping bug, and the benches exit nonzero on it.
-        std::uint64_t accounted = res.framesForwarded +
-                                  res.framesDropped +
-                                  res.fabricLinkDownKills +
-                                  res.fabricDrops;
+        std::uint64_t accounted = res.framesForwarded + res.framesDropped;
+        if (chaos)
+            accounted += chaos->linkDownKills() + chaos->dropsInjected();
         res.unaccountedLoss = offered > accounted ? offered - accounted
                                                   : accounted - offered;
         res.arrivalsInFlight = res.framesForwarded - receiptsRun;
-    }
-    if (relay) {
-        res.reliableAcked = relay->ackedTotal();
-        res.retransmits = relay->retransmitsTaken();
-        res.backoffTicks = relay->backoffTicksTotal();
-        for (unsigned c = 0; c < fabricFaultClassCount; ++c) {
-            res.recoveredByClass[c] =
-                relay->recovered(static_cast<FabricFaultClass>(c));
-            res.recoveredTotal += res.recoveredByClass[c];
-        }
-        res.reliablePending = relay->pendingCount();
-        res.reliablePendingStormEra =
-            cfg.fabricFaults.stormEnd
-                ? relay->pendingOlderThan(cfg.fabricFaults.stormEnd)
-                : 0;
-        res.reliableOwedOutstanding = relay->owedOutstandingTotal();
-        res.crossDelivered = 0;
-        for (const auto &n : nodes) {
-            res.crossDelivered += n->rrx->deliveredTotal();
-            res.dupSuppressed += n->rrx->dupSuppressed();
-            res.rxRefusals += n->rrx->rxRefusals();
-            res.rxRetries += n->rrx->rxRetries();
-            res.rxBuffered += n->rrx->buffered();
-            res.corruptDiscarded += n->rrx->corruptDiscarded();
-        }
     }
     return res;
 }
@@ -722,6 +708,10 @@ FleetRunner::reportJson(const FleetResults &res) const
     agg.set("injectRejected", res.injectRejected);
     agg.set("switchLatencyMeanUs", res.switchLatencyMeanUs);
     agg.set("switchLatencyP99Us", res.switchLatencyP99Us);
+    agg.set("fabricOffered", res.fabricOffered);
+    agg.set("unaccountedLoss", res.unaccountedLoss);
+    agg.set("arrivalsInFlight", res.arrivalsInFlight);
+    agg.set("crossDelivered", res.crossDelivered);
     agg.set("eventsExecuted", res.eventsExecuted);
     agg.set("eventsPerSec", res.eventsPerSec);
     agg.set("wallSeconds", res.wallSeconds);
@@ -732,46 +722,6 @@ FleetRunner::reportJson(const FleetResults &res) const
     agg.set("computeSeconds", res.computeSeconds);
     agg.set("waitSeconds", res.waitSeconds);
     doc.set("aggregate", std::move(agg));
-
-    // Conditional fault-domain sections: absent (not zero-filled) when
-    // the subsystem is off, so a default fleet's report is byte-
-    // identical to one from a build without the subsystem.
-    if (chaos) {
-        Value ch = Value::object();
-        ch.set("offered", res.fabricOffered);
-        ch.set("linkDownKills", res.fabricLinkDownKills);
-        ch.set("drops", res.fabricDrops);
-        ch.set("corrupt", res.fabricCorrupt);
-        ch.set("ackLost", res.fabricAckLost);
-        ch.set("linkDownTicks", res.linkDownTicks);
-        ch.set("nodeStallEpisodes", res.nodeStallEpisodes);
-        ch.set("heartbeatMisses", res.heartbeatMisses);
-        ch.set("corruptDiscarded", res.corruptDiscarded);
-        ch.set("unaccountedLoss", res.unaccountedLoss);
-        ch.set("arrivalsInFlight", res.arrivalsInFlight);
-        ch.set("crossDelivered", res.crossDelivered);
-        doc.set("chaos", std::move(ch));
-    }
-    if (relay) {
-        Value rel = Value::object();
-        rel.set("acked", res.reliableAcked);
-        rel.set("retransmits", res.retransmits);
-        rel.set("backoffTicks", res.backoffTicks);
-        Value rec = Value::object();
-        for (unsigned c = 0; c < fabricFaultClassCount; ++c)
-            rec.set(fabricFaultClassName(static_cast<FabricFaultClass>(c)),
-                    res.recoveredByClass[c]);
-        rel.set("recovered", std::move(rec));
-        rel.set("recoveredTotal", res.recoveredTotal);
-        rel.set("dupSuppressed", res.dupSuppressed);
-        rel.set("rxRefusals", res.rxRefusals);
-        rel.set("rxRetries", res.rxRetries);
-        rel.set("rxBuffered", res.rxBuffered);
-        rel.set("pending", res.reliablePending);
-        rel.set("pendingStormEra", res.reliablePendingStormEra);
-        rel.set("owedOutstanding", res.reliableOwedOutstanding);
-        doc.set("reliable", std::move(rel));
-    }
 
     Value det = Value::object();
     Value wh = Value::array();

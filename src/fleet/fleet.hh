@@ -28,7 +28,6 @@
 #ifndef TENGIG_FLEET_FLEET_HH
 #define TENGIG_FLEET_FLEET_HH
 
-#include <array>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -98,20 +97,13 @@ struct FleetResults
     double waitSeconds = 0.0;
     /// @}
 
-    /// @name Fabric fault-domain accounting (whole run; all zero when
-    /// chaos is disabled, except the ledger fields marked otherwise)
+    /// @name Delivery ledger (whole run)
+    /// Chaos, health and reliable-delivery counters live in the fleet
+    /// stat tree (fleetStats(): switch.chaos.*, health.*, reliable.*).
     /// @{
     /** Frames offered to the fabric, including retransmissions.
      *  Nonzero on any forwarding run. */
     std::uint64_t fabricOffered = 0;
-    std::uint64_t fabricLinkDownKills = 0; //!< lost to flap down windows
-    std::uint64_t fabricDrops = 0;         //!< injected mid-fabric drops
-    std::uint64_t fabricCorrupt = 0;       //!< injected corruptions
-    std::uint64_t fabricAckLost = 0;       //!< injected ack losses
-    std::uint64_t linkDownTicks = 0;       //!< summed over links
-    std::uint64_t nodeStallEpisodes = 0;   //!< induced core freezes
-    std::uint64_t heartbeatMisses = 0;     //!< health-monitor detections
-    std::uint64_t corruptDiscarded = 0;    //!< CRC discards at link ports
 
     /** Delivery-ledger residue: offered frames not accounted for by
      *  forwarded + switch drops + injected fabric losses.  Always
@@ -124,25 +116,6 @@ struct FleetResults
 
     /** Cross-node frames actually injected into destination NICs. */
     std::uint64_t crossDelivered = 0;
-    /// @}
-
-    /// @name Reliable delivery (all zero when disabled)
-    /// @{
-    std::uint64_t reliableAcked = 0;
-    std::uint64_t retransmits = 0;
-    std::uint64_t backoffTicks = 0;
-    /** Exact injected==recovered accounting, per fault class. */
-    std::array<std::uint64_t, fabricFaultClassCount> recoveredByClass{};
-    std::uint64_t recoveredTotal = 0;
-    std::uint64_t dupSuppressed = 0;
-    std::uint64_t rxRefusals = 0; //!< MAC-refused injections (backpressure)
-    std::uint64_t rxRetries = 0;  //!< receiver re-injection attempts
-    std::uint64_t rxBuffered = 0; //!< frames parked in reorder buffers
-    std::uint64_t reliablePending = 0; //!< tracked, not yet acked
-    /** Pending frames first sent before the storm ended -- the
-     *  post-storm recovery contract requires this to be 0. */
-    std::uint64_t reliablePendingStormEra = 0;
-    std::uint64_t reliableOwedOutstanding = 0; //!< lost, not yet repaid
     /// @}
 };
 
@@ -161,13 +134,18 @@ class FleetRunner
     unsigned size() const { return static_cast<unsigned>(nodes.size()); }
     NicController &node(unsigned i) { return *nodes[i]->nic; }
 
-    /** Switch + fleet-level stats ("switch.*"). */
+    /**
+     * The fleet stat tree: switch.* (plus switch.link<i>.* and
+     * switch.chaos.* under fabric faults), health.* when a health
+     * monitor runs, and reliable.* under reliable delivery.
+     */
     const obs::StatGroup &fleetStats() const { return fleetRoot; }
 
     /**
      * Structured fleet report (tengig-fleet-v1): run parameters,
-     * aggregate metrics, the switch stat subtree, and each instance's
-     * full stat tree under nic.<port>.
+     * aggregate metrics and the delivery ledger, the fingerprints,
+     * the fleet stat tree under fleet, and each instance's full stat
+     * tree under nic.<port>.
      */
     obs::json::Value reportJson(const FleetResults &res) const;
 
@@ -196,7 +174,7 @@ class FleetRunner
         std::unique_ptr<ReliableReceiver> rrx;
     };
 
-    void exchange(Tick now, FleetResults &res);
+    void exchange(Tick now);
 
     /**
      * One delivery attempt: run the fabric fault gauntlet, forward

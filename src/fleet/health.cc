@@ -17,7 +17,7 @@ FleetHealthMonitor::addNode(NodeProbe probe)
 }
 
 void
-FleetHealthMonitor::sample(Tick now)
+FleetHealthMonitor::sample()
 {
     ++samples;
     for (NodeState &n : nodes) {
@@ -44,7 +44,6 @@ FleetHealthMonitor::sample(Tick now)
         n.lastSeen = retired;
         n.sampled = true;
     }
-    (void)now;
 }
 
 std::uint64_t

@@ -56,7 +56,7 @@ class FleetHealthMonitor
      * the node) and count a heartbeat miss for every busy node whose
      * retirement clock did not advance since the previous sample.
      */
-    void sample(Tick now);
+    void sample();
 
     /// @name Whole-run accounting
     /// @{

@@ -139,26 +139,6 @@ ReliableSender::pendingOlderThan(Tick t) const
     return n;
 }
 
-std::uint64_t
-ReliableSender::owedOutstanding(FabricFaultClass c) const
-{
-    std::uint64_t n = 0;
-    for (const auto &[id, rec] : pending)
-        if (rec.owed == c)
-            ++n;
-    return n;
-}
-
-std::uint64_t
-ReliableSender::owedOutstandingTotal() const
-{
-    std::uint64_t n = 0;
-    for (const auto &[id, rec] : pending)
-        if (rec.owed.has_value())
-            ++n;
-    return n;
-}
-
 void
 ReliableSender::registerStats(obs::StatGroup &g)
 {
@@ -170,6 +150,15 @@ ReliableSender::registerStats(obs::StatGroup &g)
     g.derived("pending",
               [this] { return static_cast<double>(pending.size()); },
               "tracked frames still awaiting acknowledgement");
+    g.derived("owed_outstanding",
+              [this] {
+                  std::uint64_t n = 0;
+                  for (const auto &[id, rec] : pending)
+                      if (rec.owed.has_value())
+                          ++n;
+                  return static_cast<double>(n);
+              },
+              "tracked frames known lost, not yet retransmitted");
     obs::StatGroup &rg = g.group("recovered");
     for (unsigned c = 0; c < fabricFaultClassCount; ++c)
         rg.add(fabricFaultClassName(static_cast<FabricFaultClass>(c)),

@@ -121,24 +121,12 @@ class ReliableSender
 
     const Record &record(std::uint64_t id) const { return pending.at(id); }
 
-    /// @name Whole-run accounting
-    /// @{
-    std::uint64_t recovered(FabricFaultClass c) const
-    {
-        return recoveredCtr[static_cast<unsigned>(c)].value();
-    }
-    std::uint64_t retransmitsTaken() const { return retransmits.value(); }
-    std::uint64_t backoffTicksTotal() const { return backoffTicks.value(); }
-    std::uint64_t ackedTotal() const { return acked.value(); }
+    /** Tracked records not yet acked (the drain loop's test). */
     std::size_t pendingCount() const { return pending.size(); }
 
     /** Unacked records first sent before @p t (the post-storm
      *  recovery contract: zero once the storm-era backlog drains). */
     std::uint64_t pendingOlderThan(Tick t) const;
-
-    std::uint64_t owedOutstanding(FabricFaultClass c) const;
-    std::uint64_t owedOutstandingTotal() const;
-    /// @}
 
     /** Register the sender surface into @p g ("reliable" subtree). */
     void registerStats(obs::StatGroup &g);

@@ -74,6 +74,20 @@ sumGaps(const FleetResults &r)
     return n;
 }
 
+/** A fleet stat by dotted path. */
+double
+stat(const FleetRunner &fleet, const std::string &path)
+{
+    return fleet.fleetStats().value(path);
+}
+
+double
+recovered(const FleetRunner &fleet, FabricFaultClass c)
+{
+    return stat(fleet, std::string("reliable.recovered.") +
+                           fabricFaultClassName(c));
+}
+
 /** Down/up profile of one link sampled at 1 us steps. */
 std::vector<bool>
 flapProfile(FabricFaultInjector &inj, unsigned link, Tick until)
@@ -181,10 +195,13 @@ TEST(FabricFaults, FrameRollsAreStormGated)
     p.stormStart = 100 * usT;
     p.stormEnd = 200 * usT;
     FabricFaultInjector inj(p, 1);
+    obs::StatGroup sw;
+    inj.registerStats(sw);
     EXPECT_FALSE(inj.rollDrop(0, 50 * usT));
     EXPECT_TRUE(inj.rollDrop(0, 150 * usT));
     EXPECT_FALSE(inj.rollDrop(0, 250 * usT));
-    EXPECT_EQ(inj.dropsInjected(), 1u);
+    EXPECT_EQ(sw.value("chaos.drops"), 1.0);
+    EXPECT_EQ(sw.value("link0.drops"), 1.0);
 }
 
 TEST(FabricFaults, NodeStallEpisodesNeverOverlap)
@@ -193,6 +210,8 @@ TEST(FabricFaults, NodeStallEpisodesNeverOverlap)
     p.nodeStallRate = 1.0;
     p.nodeStallTicks = 50 * usT;
     FabricFaultInjector inj(p, 2);
+    obs::StatGroup sw;
+    inj.registerStats(sw);
     auto e = inj.rollNodeStall(0, 0, 10 * usT);
     ASSERT_TRUE(e.has_value());
     EXPECT_LT(e->first, 10 * usT);
@@ -201,7 +220,8 @@ TEST(FabricFaults, NodeStallEpisodesNeverOverlap)
     EXPECT_FALSE(inj.rollNodeStall(0, 10 * usT, 10 * usT).has_value());
     // The other node's stream is independent and still fires.
     EXPECT_TRUE(inj.rollNodeStall(1, 10 * usT, 10 * usT).has_value());
-    EXPECT_EQ(inj.nodeStallEpisodes(), 2u);
+    EXPECT_EQ(sw.value("chaos.node_stall_episodes"), 2.0);
+    EXPECT_EQ(sw.value("chaos.node_stall_ticks"), 100.0 * usT);
 }
 
 // ---------------------------------------------------------------------
@@ -218,7 +238,7 @@ TEST(FleetHealth, WedgeIsFatalNamingNodeAndLink)
                [] { return true; }, [] { return true; },
                [] { return std::string("wedged pipeline"); }});
     try {
-        h.sample(10 * usT);
+        h.sample();
         FAIL() << "wedged node not detected";
     } catch (const FatalError &e) {
         std::string what = e.what();
@@ -239,10 +259,10 @@ TEST(FleetHealth, HeartbeatMissCountsBusyNodeWithFrozenRetireClock)
     Tick retire1 = 100;
     h.addNode({"node 1", [&] { return retire1 += 10; },
                [] { return true; }, [] { return false; }, {}});
-    h.sample(10 * usT); // baseline only
+    h.sample(); // baseline only
     EXPECT_EQ(h.heartbeatMissesTotal(), 0u);
-    h.sample(20 * usT);
-    h.sample(30 * usT);
+    h.sample();
+    h.sample();
     EXPECT_EQ(h.heartbeatMissesTotal(), 2u);
     EXPECT_EQ(h.heartbeatMisses(0), 2u);
     EXPECT_EQ(h.heartbeatMisses(1), 0u);
@@ -306,17 +326,17 @@ TEST(FleetChaosRun, DropStormFullyRecovered)
     fc.reliable.enabled = true;
     FleetRunner fleet(fc);
     FleetResults r = fleet.run();
-    EXPECT_GT(r.fabricDrops, 0u);
-    EXPECT_EQ(r.recoveredByClass[static_cast<unsigned>(
-                  FabricFaultClass::Drop)],
-              r.fabricDrops);
+    EXPECT_GT(stat(fleet, "switch.chaos.drops"), 0.0);
+    EXPECT_EQ(recovered(fleet, FabricFaultClass::Drop),
+              stat(fleet, "switch.chaos.drops"));
     EXPECT_EQ(r.errors, 0u);
     EXPECT_EQ(sumGaps(r), 0u);
     EXPECT_EQ(r.unaccountedLoss, 0u);
-    EXPECT_EQ(r.reliableOwedOutstanding, 0u);
-    EXPECT_EQ(r.reliablePending, 0u);
-    EXPECT_EQ(r.rxBuffered, 0u);
-    EXPECT_EQ(r.rxRetries, r.rxRefusals);
+    EXPECT_EQ(stat(fleet, "reliable.owed_outstanding"), 0.0);
+    EXPECT_EQ(stat(fleet, "reliable.pending"), 0.0);
+    EXPECT_EQ(stat(fleet, "reliable.rx_buffered"), 0.0);
+    EXPECT_EQ(stat(fleet, "reliable.rx_retries"),
+              stat(fleet, "reliable.rx_refusals"));
 }
 
 TEST(FleetChaosRun, LostAcksAreSuppressedAsDuplicates)
@@ -328,10 +348,11 @@ TEST(FleetChaosRun, LostAcksAreSuppressedAsDuplicates)
     fc.reliable.enabled = true;
     FleetRunner fleet(fc);
     FleetResults r = fleet.run();
-    EXPECT_GT(r.fabricAckLost, 0u);
+    EXPECT_GT(stat(fleet, "switch.chaos.ack_lost"), 0.0);
     // Every lost ack forces a retransmission of a frame that already
     // arrived; the receiver must eat each one exactly once.
-    EXPECT_EQ(r.dupSuppressed, r.fabricAckLost);
+    EXPECT_EQ(stat(fleet, "reliable.dup_suppressed"),
+              stat(fleet, "switch.chaos.ack_lost"));
     EXPECT_EQ(r.errors, 0u);
     EXPECT_EQ(sumGaps(r), 0u);
     std::uint64_t dupsDelivered = 0;
@@ -350,11 +371,11 @@ TEST(FleetChaosRun, NodeStallsAreDetectedAndSurvived)
     fc.reliable.enabled = true;
     FleetRunner fleet(fc);
     FleetResults r = fleet.run();
-    EXPECT_GT(r.nodeStallEpisodes, 0u);
-    EXPECT_GT(r.heartbeatMisses, 0u);
+    EXPECT_GT(stat(fleet, "switch.chaos.node_stall_episodes"), 0.0);
+    EXPECT_GT(stat(fleet, "health.heartbeat_misses"), 0.0);
     EXPECT_EQ(r.errors, 0u);
     EXPECT_EQ(sumGaps(r), 0u);
-    EXPECT_EQ(r.rxBuffered, 0u);
+    EXPECT_EQ(stat(fleet, "reliable.rx_buffered"), 0.0);
 }
 
 TEST(FleetChaosRun, StormIsBitIdenticalAcrossThreadCounts)
@@ -371,12 +392,10 @@ TEST(FleetChaosRun, StormIsBitIdenticalAcrossThreadCounts)
     FleetResults rb = b.run();
     EXPECT_EQ(ra.wireHash, rb.wireHash);
     EXPECT_EQ(ra.injectHash, rb.injectHash);
-    EXPECT_EQ(ra.framesForwarded, rb.framesForwarded);
-    EXPECT_EQ(ra.retransmits, rb.retransmits);
-    EXPECT_EQ(ra.recoveredTotal, rb.recoveredTotal);
-    EXPECT_EQ(ra.dupSuppressed, rb.dupSuppressed);
-    EXPECT_EQ(ra.nodeStallEpisodes, rb.nodeStallEpisodes);
-    EXPECT_EQ(ra.heartbeatMisses, rb.heartbeatMisses);
+    // The fleet trees hold every chaos, health and recovery counter.
+    EXPECT_GT(stat(a, "reliable.retransmits"), 0.0);
+    EXPECT_EQ(a.fleetStats().toJson().dump(2),
+              b.fleetStats().toJson().dump(2));
     ASSERT_EQ(ra.nic.size(), rb.nic.size());
     for (std::size_t i = 0; i < ra.nic.size(); ++i) {
         EXPECT_EQ(ra.nic[i].txFrames, rb.nic[i].txFrames);
@@ -390,23 +409,35 @@ TEST(FleetChaosRun, DisabledChaosLeavesNoStructuralTrace)
     FleetConfig fc = chaosFleet();
     FleetRunner fleet(fc);
     FleetResults r = fleet.run();
-    obs::json::Value doc = fleet.reportJson(r);
-    // Conditional sections are absent, not zero-filled: a default
-    // fleet's report is indistinguishable from a build without the
+    // Conditional groups are absent, not zero-filled: a default fleet's
+    // stat tree is indistinguishable from a build without the
     // fault-domain subsystem.
+    const obs::StatGroup *sw = fleet.fleetStats().findGroup("switch");
+    ASSERT_NE(sw, nullptr);
+    EXPECT_EQ(sw->findGroup("chaos"), nullptr);
+    EXPECT_EQ(fleet.fleetStats().findGroup("reliable"), nullptr);
+    EXPECT_EQ(fleet.fleetStats().findGroup("health"), nullptr);
+    obs::json::Value doc = fleet.reportJson(r);
     EXPECT_EQ(doc.find("chaos"), nullptr);
     EXPECT_EQ(doc.find("reliable"), nullptr);
-    EXPECT_EQ(r.fabricDrops, 0u);
-    EXPECT_EQ(r.retransmits, 0u);
+    EXPECT_EQ(doc.at("aggregate").at("unaccountedLoss").asNumber(), 0.0);
 
     FleetConfig cc = chaosFleet();
     addStorm(cc);
     cc.reliable.enabled = true;
     FleetRunner chaotic(cc);
     FleetResults rc = chaotic.run();
+    sw = chaotic.fleetStats().findGroup("switch");
+    ASSERT_NE(sw, nullptr);
+    EXPECT_NE(sw->findGroup("chaos"), nullptr);
+    EXPECT_NE(chaotic.fleetStats().findGroup("reliable"), nullptr);
+    // The report carries the counters once, inside its fleet tree.
     obs::json::Value cdoc = chaotic.reportJson(rc);
-    EXPECT_NE(cdoc.find("chaos"), nullptr);
-    EXPECT_NE(cdoc.find("reliable"), nullptr);
+    EXPECT_EQ(cdoc.find("chaos"), nullptr);
+    EXPECT_EQ(cdoc.find("reliable"), nullptr);
+    EXPECT_NE(cdoc.at("fleet").find("reliable"), nullptr);
+    EXPECT_EQ(cdoc.at("aggregate").at("fabricOffered").asNumber(),
+              static_cast<double>(rc.fabricOffered));
 }
 
 TEST(FleetChaosRun, EgressFifoDropsFeedTheLedger)
