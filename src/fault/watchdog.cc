@@ -80,13 +80,6 @@ FirmwareWatchdog::registerStats(obs::StatGroup &g) const
 }
 
 void
-FirmwareWatchdog::resetStats()
-{
-    stalls.reset();
-    checks.reset();
-}
-
-void
 LivenessMonitor::check(bool queue_empty, bool pipeline_busy,
                        const std::function<std::string()> &report)
 {

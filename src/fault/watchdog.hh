@@ -57,7 +57,6 @@ class FirmwareWatchdog
     std::uint64_t checksRun() const { return checks.value(); }
 
     void registerStats(obs::StatGroup &g) const;
-    void resetStats();
 
     /** One sampling pass (exposed for unit tests). */
     void check();
@@ -91,7 +90,6 @@ class LivenessMonitor
     std::uint64_t checksRun() const { return checks.value(); }
 
     void registerStats(obs::StatGroup &g) const;
-    void resetStats() { checks.reset(); }
 
   private:
     stats::Counter checks;

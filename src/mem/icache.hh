@@ -84,14 +84,6 @@ class InstructionMemory
     }
     /// @}
 
-    void
-    resetStats()
-    {
-        fills.reset();
-        bytes.reset();
-        busyTicks.reset();
-    }
-
   private:
     static constexpr unsigned beatBytes = 16; // 128-bit port
 

@@ -246,16 +246,4 @@ Scratchpad::registerStats(obs::StatGroup &g) const
     }
 }
 
-void
-Scratchpad::resetStats()
-{
-    reads.reset();
-    writes.reset();
-    rmws.reset();
-    for (auto &b : banks) {
-        b.accesses.reset();
-        b.conflictCycles.reset();
-    }
-}
-
 } // namespace tengig

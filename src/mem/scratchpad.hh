@@ -132,7 +132,6 @@ class Scratchpad : public Clocked
 
     /** Register counters into the owner's stat tree (src/obs). */
     void registerStats(obs::StatGroup &g) const;
-    void resetStats();
     /// @}
 
   private:

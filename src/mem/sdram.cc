@@ -151,14 +151,4 @@ GddrSdram::registerStats(obs::StatGroup &g) const
               "pattern spans expanded to bytes (0 = fully virtual)");
 }
 
-void
-GddrSdram::resetStats()
-{
-    useful.reset();
-    transferred.reset();
-    activations.reset();
-    bursts.reset();
-    busyTicks.reset();
-}
-
 } // namespace tengig

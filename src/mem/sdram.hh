@@ -118,7 +118,6 @@ class GddrSdram : public Clocked
 
     /** Register counters into the owner's stat tree (src/obs). */
     void registerStats(obs::StatGroup &g) const;
-    void resetStats();
     /// @}
 
     /** Timeline row for burst spans (src/obs trace recorder). */

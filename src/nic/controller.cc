@@ -571,17 +571,14 @@ NicController::occupancySample()
         return; // detached: stop sampling
     if (t->enabled()) {
         Tick now = eq.curTick();
+        // Both counters are never reset, so deltas never regress.
         std::uint64_t acc = spad->totalAccesses();
-        // A stats reset between samples makes the counter regress;
-        // emit a zero-delta sample and resynchronize.
-        double d_acc = acc >= occSpadPrev
-            ? static_cast<double>(acc - occSpadPrev) : 0.0;
+        double d_acc = static_cast<double>(acc - occSpadPrev);
         occSpadPrev = acc;
         t->counterSample(occLane, "spad grants/us", now, d_acc);
 
         std::uint64_t busy = ram->busyTickCount();
-        double d_busy = busy >= occSdramBusyPrev
-            ? static_cast<double>(busy - occSdramBusyPrev) : 0.0;
+        double d_busy = static_cast<double>(busy - occSdramBusyPrev);
         occSdramBusyPrev = busy;
         t->counterSample(occLane, "sdram bus busy %", now,
                          100.0 * d_busy /

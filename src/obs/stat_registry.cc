@@ -71,18 +71,6 @@ StatGroup::add(const std::string &name, const stats::Counter &c,
 }
 
 void
-StatGroup::add(const std::string &name, const stats::Average &a,
-               std::string desc)
-{
-    checkFresh(name, desc);
-    Entry e;
-    e.kind = Kind::AverageK;
-    e.average = &a;
-    e.desc = std::move(desc);
-    entries.emplace(name, std::move(e));
-}
-
-void
 StatGroup::add(const std::string &name, const stats::Histogram &h,
                std::string desc)
 {
@@ -150,15 +138,6 @@ StatGroup::counter(const std::string &path) const
     return *e.counter;
 }
 
-const stats::Average &
-StatGroup::average(const std::string &path) const
-{
-    const Entry &e = resolveChecked(path);
-    fatal_if(e.kind != Kind::AverageK, "stat '", path,
-             "' is not an average");
-    return *e.average;
-}
-
 const stats::Histogram &
 StatGroup::histogram(const std::string &path) const
 {
@@ -175,8 +154,6 @@ StatGroup::value(const std::string &path) const
     switch (e.kind) {
       case Kind::CounterK:
         return static_cast<double>(e.counter->value());
-      case Kind::AverageK:
-        return e.average->mean();
       case Kind::HistogramK:
         return e.histogram->mean();
       case Kind::DerivedK:
@@ -220,9 +197,6 @@ StatGroup::toJson() const
         switch (e.kind) {
           case Kind::CounterK:
             obj.set(name, e.counter->value());
-            break;
-          case Kind::AverageK:
-            obj.set(name, e.average->mean());
             break;
           case Kind::HistogramK: {
             json::Value h = json::Value::object();

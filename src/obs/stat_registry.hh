@@ -2,7 +2,7 @@
  * @file
  * Registered statistics tree.
  *
- * Components register their Counter / Average / Histogram members (and
+ * Components register their Counter / Histogram members (and
  * derived values as closures) into a StatGroup by dotted name at
  * construction time.  The registry holds live references, so a value
  * or a JSON document can be read at any simulated time, and lookups
@@ -49,8 +49,6 @@ class StatGroup
     /// @{
     void add(const std::string &name, const stats::Counter &c,
              std::string desc = "");
-    void add(const std::string &name, const stats::Average &a,
-             std::string desc = "");
     void add(const std::string &name, const stats::Histogram &h,
              std::string desc = "");
 
@@ -62,7 +60,6 @@ class StatGroup
     /// @name Checked lookups by dotted path (fatal on unknown names)
     /// @{
     const stats::Counter &counter(const std::string &path) const;
-    const stats::Average &average(const std::string &path) const;
     const stats::Histogram &histogram(const std::string &path) const;
 
     /** Scalar view of any stat kind (histograms report their mean). */
@@ -78,13 +75,12 @@ class StatGroup
     json::Value toJson() const;
 
   private:
-    enum class Kind { CounterK, AverageK, HistogramK, DerivedK };
+    enum class Kind { CounterK, HistogramK, DerivedK };
 
     struct Entry
     {
         Kind kind;
         const stats::Counter *counter = nullptr;
-        const stats::Average *average = nullptr;
         const stats::Histogram *histogram = nullptr;
         std::function<double()> fn;
         std::string desc;

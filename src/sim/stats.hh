@@ -5,7 +5,7 @@
  * Components own named counters / histograms registered into a StatGroup
  * tree (src/obs/stat_registry.hh) so experiment runners can read them by
  * dotted name or as one JSON snapshot.  The design is a deliberately
- * small subset of gem5's stats package: scalar counters, averages, and
+ * small subset of gem5's stats package: scalar counters and
  * fixed-bucket histograms with percentile summaries.
  */
 
@@ -13,7 +13,6 @@
 #define TENGIG_SIM_STATS_HH
 
 #include <cstdint>
-#include <limits>
 #include <vector>
 
 #include "sim/logging.hh"
@@ -32,45 +31,6 @@ class Counter
 
   private:
     std::uint64_t val = 0;
-};
-
-/** Running mean/min/max of a sampled quantity. */
-class Average
-{
-  public:
-    void
-    sample(double v)
-    {
-        sum += v;
-        ++n;
-        if (v < mn)
-            mn = v;
-        if (v > mx)
-            mx = v;
-    }
-
-    double mean() const { return n ? sum / static_cast<double>(n) : 0.0; }
-    double min() const { return n ? mn : 0.0; }
-    double max() const { return n ? mx : 0.0; }
-    std::uint64_t count() const { return n; }
-
-    void
-    reset()
-    {
-        // Explicit empty state: min starts at +inf and max at -inf so
-        // the first sample always wins, with no reliance on the n
-        // guard in sample() (there is none).
-        sum = 0;
-        n = 0;
-        mn = std::numeric_limits<double>::infinity();
-        mx = -std::numeric_limits<double>::infinity();
-    }
-
-  private:
-    double sum = 0;
-    double mn = std::numeric_limits<double>::infinity();
-    double mx = -std::numeric_limits<double>::infinity();
-    std::uint64_t n = 0;
 };
 
 /**

@@ -154,7 +154,7 @@ TEST(StatRegistry, CheckedLookupsAreFatalOnUnknownNames)
     EXPECT_THROW(root.value("mac.typo"), FatalError);
     EXPECT_THROW(root.counter("nope.frames"), FatalError);
     // Kind mismatch is as fatal as a missing name.
-    EXPECT_THROW(root.average("mac.frames"), FatalError);
+    EXPECT_THROW(root.histogram("mac.frames"), FatalError);
 }
 
 TEST(StatRegistry, DuplicateOrDottedRegistrationIsFatal)
@@ -206,20 +206,15 @@ TEST(StatRegistry, DottedPathsResolveEveryLevel)
     StatGroup root;
     stats::Counter bursts;
     bursts += 3;
-    stats::Average occ;
-    occ.sample(2.0);
-    occ.sample(4.0);
     stats::Histogram lat(10, 4);
     for (unsigned i = 0; i < 100; ++i)
         lat.sample(i % 40);
     root.group("sdram").add("bursts", bursts);
-    root.group("sdram").add("occupancy", occ);
     root.group("lat").add("rx", lat);
     root.derived("twiceBursts",
                  [&bursts] { return 2.0 * bursts.value(); });
 
     EXPECT_DOUBLE_EQ(root.value("sdram.bursts"), 3.0);
-    EXPECT_DOUBLE_EQ(root.value("sdram.occupancy"), 3.0);
     EXPECT_DOUBLE_EQ(root.value("twiceBursts"), 6.0);
     // A histogram's scalar view is its mean; the histogram itself
     // carries the percentile summary.
@@ -229,7 +224,7 @@ TEST(StatRegistry, DottedPathsResolveEveryLevel)
     EXPECT_DOUBLE_EQ(root.group("sdram").value("bursts"), 3.0);
 
     const std::vector<std::string> want = {
-        "lat.rx", "sdram.bursts", "sdram.occupancy", "twiceBursts"};
+        "lat.rx", "sdram.bursts", "twiceBursts"};
     EXPECT_EQ(root.names(), want);
 }
 

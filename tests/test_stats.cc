@@ -22,29 +22,6 @@ TEST(Counter, IncrementAndAdd)
     EXPECT_EQ(c.value(), 0u);
 }
 
-TEST(Average, TracksMeanMinMax)
-{
-    Average a;
-    EXPECT_DOUBLE_EQ(a.mean(), 0.0);
-    a.sample(2.0);
-    a.sample(4.0);
-    a.sample(9.0);
-    EXPECT_DOUBLE_EQ(a.mean(), 5.0);
-    EXPECT_DOUBLE_EQ(a.min(), 2.0);
-    EXPECT_DOUBLE_EQ(a.max(), 9.0);
-    EXPECT_EQ(a.count(), 3u);
-}
-
-TEST(Average, NegativeValues)
-{
-    Average a;
-    a.sample(-3.0);
-    a.sample(1.0);
-    EXPECT_DOUBLE_EQ(a.min(), -3.0);
-    EXPECT_DOUBLE_EQ(a.max(), 1.0);
-    EXPECT_DOUBLE_EQ(a.mean(), -1.0);
-}
-
 TEST(Histogram, BucketsAndOverflow)
 {
     Histogram h(10, 4); // buckets [0,10) [10,20) [20,30) [30,40) + overflow
@@ -70,24 +47,6 @@ TEST(Histogram, MeanOfSamples)
     h.sample(2);
     h.sample(3);
     EXPECT_DOUBLE_EQ(h.mean(), 2.0);
-}
-
-// Regression: reset() used to leave min/max at 0, so a post-reset
-// sample stream with all-positive values reported min() == 0.
-TEST(Average, ResetRestoresMinMaxSentinels)
-{
-    Average a;
-    a.sample(-5.0);
-    a.sample(10.0);
-    a.reset();
-    EXPECT_EQ(a.count(), 0u);
-    EXPECT_DOUBLE_EQ(a.min(), 0.0); // empty: defined as 0
-    EXPECT_DOUBLE_EQ(a.max(), 0.0);
-    a.sample(3.0);
-    a.sample(7.0);
-    EXPECT_DOUBLE_EQ(a.min(), 3.0);
-    EXPECT_DOUBLE_EQ(a.max(), 7.0);
-    EXPECT_DOUBLE_EQ(a.mean(), 5.0);
 }
 
 // Regression: a zero-bucket or zero-width histogram used to be
