@@ -33,22 +33,6 @@ EventQueue::releaseSlot(std::uint32_t idx)
     freeSlots.push_back(idx);
 }
 
-void
-EventQueue::compact()
-{
-    // A stable filter preserves the sorted order; no re-sort needed.
-    std::size_t out = 0;
-    for (std::size_t i = 0; i < pending.size(); ++i) {
-        std::uint32_t idx = pending[i].slot;
-        if (slots[idx].alive)
-            pending[out++] = pending[i];
-        else
-            releaseSlot(idx);
-    }
-    pending.resize(out);
-    deadInList = 0;
-}
-
 EventId
 EventQueue::schedule(Tick when, Callback fn, EventPriority prio)
 {
@@ -87,13 +71,11 @@ EventQueue::cancel(EventId id)
         return false;
     // The pending entry stays behind as a tombstone; bumping the
     // generation makes it (and any stale copies of this id) dead.
+    // run() drops it when it surfaces.
     s.alive = false;
     s.fn.reset();
     ++s.generation;
     --liveCount;
-    ++deadInList;
-    if (deadInList > liveCount && pending.size() >= 64)
-        compact();
     return true;
 }
 
@@ -111,7 +93,6 @@ EventQueue::run(Tick limit)
             // anything -- a slot flag load, no hash lookup -- so
             // empty() reflects reality even when we stop early.
             pending.pop_back();
-            --deadInList;
             releaseSlot(idx);
             continue;
         }
@@ -130,7 +111,6 @@ EventQueue::run(Tick limit)
             Slot &slot = slots[i];
             pending.pop_back();
             if (!slot.alive) {
-                --deadInList;
                 releaseSlot(i);
                 continue;
             }

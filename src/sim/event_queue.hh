@@ -167,14 +167,12 @@ class EventQueue
 
     std::uint32_t acquireSlot();
     void releaseSlot(std::uint32_t idx);
-    void compact();
 
     /** Sorted latest-first: the soonest-firing entry is at the back. */
     std::vector<PendingEntry> pending;
     std::vector<Slot> slots;
     std::vector<std::uint32_t> freeSlots;
     std::size_t liveCount = 0;
-    std::size_t deadInList = 0;
     Tick _curTick = 0;
     std::uint64_t nextSeq = 1;
     std::uint64_t executed = 0;

@@ -197,11 +197,11 @@ TEST(EventQueue, PendingEventsCountsLiveOnly)
     EXPECT_TRUE(eq.empty());
 }
 
-TEST(EventQueue, CancelStressCompactsAndStaysCorrect)
+TEST(EventQueue, CancelStressStaysCorrect)
 {
-    // Schedule/cancel churn far past the compaction threshold: dead
-    // entries must never fire, live ones must all fire in order, and
-    // the queue must end drained.
+    // Schedule/cancel churn that leaves far more tombstones than live
+    // entries: dead entries must never fire, live ones must all fire
+    // in order, and the queue must end drained.
     Rng rng(7);
     EventQueue eq;
     std::vector<Tick> fired;
@@ -215,7 +215,7 @@ TEST(EventQueue, CancelStressCompactsAndStaysCorrect)
             }));
         }
         // Cancel most of this round's events, favoring heavy dead/live
-        // ratios that force repeated compaction.
+        // ratios.
         for (std::size_t i = 0; i < ids.size(); ++i) {
             if (i % 8 != 0)
                 EXPECT_TRUE(eq.cancel(ids[i]));
