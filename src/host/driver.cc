@@ -9,12 +9,7 @@ DeviceDriver::DeviceDriver(HostMemory &host_, const Config &cfg)
 {
     fatal_if(cfg.tsoSegments == 0 || cfg.tsoSegments > 255,
              "tsoSegments must be in [1, 255]");
-    fatal_if(!cfg.txFrameSpec && !cfg.txFrameNext,
-             "the driver needs a tx source: txFrameSpec or txFrameNext");
-    fatal_if(cfg.txFrameNext && cfg.tsoSegments != 1,
-             "pull-mode tx sources are incompatible with TSO");
-    fatal_if(cfg.txFrameNext && cfg.txFrameSpec,
-             "txFrameNext and txFrameSpec are mutually exclusive");
+    fatal_if(!cfg.txFrameNext, "the driver needs a tx source (txFrameNext)");
     fatal_if(cfg.sendRingFrames % cfg.tsoSegments != 0,
              "send ring must hold whole TSO groups");
 
@@ -44,15 +39,6 @@ DeviceDriver::DeviceDriver(HostMemory &host_, const Config &cfg)
 bool
 DeviceDriver::postOneSendFrame()
 {
-    // Pull-mode sources may decline (rate-limited / idle VF); asked
-    // before any state changes so a refusal leaves the ring untouched.
-    std::optional<std::pair<std::uint32_t, unsigned>> next;
-    if (config.txFrameNext) {
-        next = config.txFrameNext(txPosted);
-        if (!next)
-            return false;
-    }
-
     // Posts one send *group*: tsoSegments frames behind a single
     // header-template/payload descriptor pair.
     unsigned segs = config.tsoSegments;
@@ -77,7 +63,15 @@ DeviceDriver::postOneSendFrame()
     auto hdr_seed = static_cast<std::uint32_t>(seq);
     unsigned payload = 0;
     for (unsigned s = 0; s < segs; ++s) {
-        auto [flow, bytes] = next ? *next : config.txFrameSpec(seq + s);
+        // The source may decline the group's first frame, before any
+        // state changes, so a refusal leaves the ring untouched.
+        auto next = config.txFrameNext(seq + s);
+        if (!next) {
+            panic_if(s > 0, "tx source declined segment ", s,
+                     " of a TSO group");
+            return false;
+        }
+        auto [flow, bytes] = *next;
         fatal_if(bytes < 18 || bytes > udpMaxPayloadBytes,
                  "tx payload must be in [18, 1472], got ", bytes);
         fatal_if(s > 0 && bytes != payload, "a TSO group needs one "

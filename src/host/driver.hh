@@ -67,21 +67,16 @@ class DeviceDriver
         unsigned tsoSegments = 1;
 
         /**
-         * Workload schedule: (flow id, payload bytes) for posted frame
-         * number i.  Every frame carries its flow's own sequence space.
-         * With TSO, the frames of one group must share a payload size
-         * (the NIC slices one buffer evenly).
-         */
-        std::function<std::pair<std::uint32_t, unsigned>(std::uint64_t)>
-            txFrameSpec;
-
-        /**
-         * Pull-mode workload source (src/vnic arbitration): asked for
-         * posted frame number i, returns (flow id, payload bytes) or
-         * nullopt when no frame is eligible right now.  On nullopt the
-         * driver stops posting without error; whoever owns the
-         * scheduler calls resumeSend() once a frame becomes eligible.
-         * Mutually exclusive with txFrameSpec and with TSO.
+         * The workload source, asked once per frame: (flow id, payload
+         * bytes) for posted frame number i, or nullopt when no frame
+         * is eligible right now (a paced stream between frames, an
+         * idle or rate-limited VF).  On nullopt the driver stops
+         * posting without error; whoever owns the source calls
+         * resumeSend() once a frame becomes eligible.  Every frame
+         * carries its flow's own sequence space.  With TSO, the frames
+         * of one group must share a payload size (the NIC slices one
+         * buffer evenly), and only the group's first frame may be
+         * declined.
          */
         std::function<std::optional<std::pair<std::uint32_t, unsigned>>(
             std::uint64_t)>
@@ -113,12 +108,11 @@ class DeviceDriver
      */
     void startBackloggedSend();
 
-    /** Post exactly @p n frames (tests / finite workloads).  With a
-     *  pull-mode txFrameNext source, posts *up to* @p n, stopping
+    /** Post up to @p n frames (tests / finite workloads), stopping
      *  early when the source reports nothing eligible. */
     void postSendFrames(unsigned n);
 
-    /** Refill the send ring after a pull-mode source went dry (only
+    /** Refill the send ring after the source went dry (only
      *  meaningful in backlogged mode; otherwise a no-op). */
     void resumeSend();
 

@@ -146,8 +146,9 @@ NicController::build()
                 return spec;
             };
         } else {
-            dc.txFrameSpec = [this](std::uint64_t i) {
-                return txSched->frameSpec(i);
+            dc.txFrameNext = [this](std::uint64_t seq)
+                -> std::optional<std::pair<std::uint32_t, unsigned>> {
+                return txSched->frameSpec(seq);
             };
         }
     }

@@ -13,12 +13,13 @@ using namespace tengig;
 
 namespace {
 
-/** A transmit schedule of flow-0 frames of @p bytes each. */
+/** A transmit source of flow-0 frames of @p bytes each. */
 auto
 fixedSpec(unsigned bytes)
 {
     return [bytes](std::uint64_t) {
-        return std::pair<std::uint32_t, unsigned>{0, bytes};
+        return std::optional<std::pair<std::uint32_t, unsigned>>{
+            {0, bytes}};
     };
 }
 
@@ -29,7 +30,7 @@ struct DriverFixture : public ::testing::Test
         cfg.sendRingFrames = 8;
         cfg.recvPoolBuffers = 16;
         cfg.recvPostBatch = 4;
-        cfg.txFrameSpec = fixedSpec(256);
+        cfg.txFrameNext = fixedSpec(256);
     }
 
     /** The NIC writes a valid frame of @p seq into receive-ring slot
@@ -178,16 +179,16 @@ TEST_F(DriverFixture, RxGapFromDropIsNotAnOrderError)
 
 TEST_F(DriverFixture, InvalidPayloadSizeIsFatal)
 {
-    cfg.txFrameSpec = fixedSpec(4);
+    cfg.txFrameNext = fixedSpec(4);
     EXPECT_THROW(DeviceDriver(host, cfg).postSendFrames(1), FatalError);
-    cfg.txFrameSpec = fixedSpec(5000);
+    cfg.txFrameNext = fixedSpec(5000);
     EXPECT_THROW(DeviceDriver(host, cfg).postSendFrames(1), FatalError);
 }
 
 TEST_F(DriverFixture, TsoPostsOnePairPerGroup)
 {
     cfg.tsoSegments = 4;
-    cfg.txFrameSpec = fixedSpec(1000);
+    cfg.txFrameNext = fixedSpec(1000);
     DeviceDriver drv(host, cfg);
     std::uint64_t doorbell = 0;
     drv.onSendDoorbell([&](std::uint64_t bds) { doorbell = bds; });
@@ -223,15 +224,35 @@ TEST_F(DriverFixture, TsoRejectsMixedSizeGroups)
     // The NIC slices a group's payload buffer evenly, so one group
     // cannot mix frame sizes.
     cfg.tsoSegments = 4;
-    cfg.txFrameSpec = [](std::uint64_t i) {
-        return std::pair<std::uint32_t, unsigned>{0, i == 2 ? 500 : 1000};
+    cfg.txFrameNext = [](std::uint64_t i) {
+        return std::optional<std::pair<std::uint32_t, unsigned>>{
+            {0, i == 2 ? 500 : 1000}};
     };
     DeviceDriver drv(host, cfg);
     EXPECT_THROW(drv.postSendFrames(4), FatalError);
 }
 
+TEST_F(DriverFixture, TsoSourceMayDeclineOnlyAGroupsFirstFrame)
+{
+    // Declining a group's first frame stops posting cleanly; declining
+    // a later one would strand a half-written group.
+    cfg.tsoSegments = 4;
+    std::uint64_t declineAt = 4;
+    cfg.txFrameNext = [&declineAt](std::uint64_t i)
+        -> std::optional<std::pair<std::uint32_t, unsigned>> {
+        if (i == declineAt)
+            return std::nullopt;
+        return std::pair<std::uint32_t, unsigned>{0, 1000};
+    };
+    DeviceDriver drv(host, cfg);
+    drv.postSendFrames(8);
+    EXPECT_EQ(drv.txFramesPosted(), 4u);
+    declineAt = 5;
+    EXPECT_THROW(drv.postSendFrames(4), PanicError);
+}
+
 TEST_F(DriverFixture, MissingTxSourceIsFatal)
 {
-    cfg.txFrameSpec = nullptr;
+    cfg.txFrameNext = nullptr;
     EXPECT_THROW(DeviceDriver(host, cfg), FatalError);
 }
