@@ -201,7 +201,6 @@ TEST(FabricFaults, FrameRollsAreStormGated)
     EXPECT_TRUE(inj.rollDrop(0, 150 * usT));
     EXPECT_FALSE(inj.rollDrop(0, 250 * usT));
     EXPECT_EQ(sw.value("chaos.drops"), 1.0);
-    EXPECT_EQ(sw.value("link0.drops"), 1.0);
 }
 
 TEST(FabricFaults, NodeStallEpisodesNeverOverlap)
@@ -221,7 +220,6 @@ TEST(FabricFaults, NodeStallEpisodesNeverOverlap)
     // The other node's stream is independent and still fires.
     EXPECT_TRUE(inj.rollNodeStall(1, 10 * usT, 10 * usT).has_value());
     EXPECT_EQ(sw.value("chaos.node_stall_episodes"), 2.0);
-    EXPECT_EQ(sw.value("chaos.node_stall_ticks"), 100.0 * usT);
 }
 
 // ---------------------------------------------------------------------
