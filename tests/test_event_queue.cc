@@ -189,8 +189,8 @@ TEST(EventQueue, PendingEventsCountsLiveOnly)
     EXPECT_EQ(eq.pendingEvents(), 10u);
     for (int i = 0; i < 10; i += 2)
         EXPECT_TRUE(eq.cancel(ids[static_cast<std::size_t>(i)]));
-    // Cancelled entries may still sit in the heap awaiting compaction,
-    // but they are invisible to the live count.
+    // Cancelled entries still sit in the pending list until they
+    // surface, but they are invisible to the live count.
     EXPECT_EQ(eq.pendingEvents(), 5u);
     eq.run();
     EXPECT_EQ(eq.pendingEvents(), 0u);
