@@ -178,13 +178,6 @@ struct VfWindow
                                           start[vf].rxFrames);
     }
 
-    std::uint64_t
-    txPosted(unsigned vf) const
-    {
-        return static_cast<std::uint64_t>(end[vf].txPosted -
-                                          start[vf].txPosted);
-    }
-
     double
     txGbps(unsigned vf, Tick measure) const
     {
@@ -245,7 +238,7 @@ vfMetrics(NicController &nic, const VfWindow &w, Tick measure)
         v.set("rxGbps", w.rxGbps(vf, measure));
         v.set("txFrames", w.txFrames(vf));
         v.set("rxFrames", w.rxFrames(vf));
-        v.set("txPosted", w.txPosted(vf));
+        v.set("txPosted", w.end[vf].txPosted - w.start[vf].txPosted);
         v.set("rxPoliced", t.value(p + ".rx.policed"));
         v.set("commitStalls", t.value(p + ".tx.commit_stalls"));
         v.set("admitDefers", t.value(p + ".tx.admit_defers"));
