@@ -438,10 +438,9 @@ TEST(NicFaults, WatchdogStaysQuietOnAHealthyRun)
     NicController nic(cfg);
     nic.runTxOnly(200, 20 * tickPerMs);
 
-    FirmwareWatchdog *wd = nic.firmwareWatchdog();
-    ASSERT_NE(wd, nullptr);
-    EXPECT_GT(wd->checksRun(), 0u);
-    EXPECT_EQ(wd->stallsDetected(), 0u);
+    const obs::StatGroup &t = nic.statTree();
+    ASSERT_TRUE(t.has("fault.watchdog.checks"));
+    EXPECT_GT(t.value("fault.watchdog.checks"), 0.0);
+    EXPECT_EQ(t.value("fault.watchdog.stalls"), 0.0);
     EXPECT_EQ(nic.txFlowSink().framesReceived(), 200u);
-    EXPECT_EQ(nic.statTree().value("fault.watchdog.stalls"), 0.0);
 }
