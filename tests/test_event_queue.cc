@@ -5,6 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <functional>
+#include <memory>
 #include <vector>
 
 #include "sim/event_queue.hh"
@@ -58,6 +62,14 @@ TEST(EventQueue, NullCallbackPanics)
 {
     EventQueue eq;
     EXPECT_THROW(eq.schedule(1, std::function<void()>()), PanicError);
+    // The refused callback holds no slot: the next event gets slot 0
+    // (an EventId is (slot + 1) << 32 | generation) and fires.
+    EXPECT_EQ(eq.pendingEvents(), 0u);
+    bool ran = false;
+    EventId id = eq.schedule(1, [&] { ran = true; });
+    EXPECT_EQ(id >> 32, 1u);
+    eq.run();
+    EXPECT_TRUE(ran);
 }
 
 TEST(EventQueue, CancelPreventsExecution)
@@ -259,4 +271,152 @@ TEST(EventQueue, RandomizedOrderingProperty)
         for (std::size_t i = 1; i < fired.size(); ++i)
             ASSERT_LE(fired[i - 1], fired[i]);
     }
+}
+
+TEST(EventQueue, RandomizedOrderMatchesReferenceSort)
+{
+    // The full firing order, not just its ticks: events fire exactly as
+    // a stable sort by (when, priority) in scheduling order.  Ticks
+    // straddle 2^40, so whole-tick order is decided above any 32-bit
+    // field; every priority takes part; and callbacks add follow-ups at
+    // their own tick (never ahead of themselves) and at later ticks, so
+    // work scheduled while the queue runs is ordered too.
+    constexpr std::array<EventPriority, 4> prios = {
+        EventPriority::HardwareProgress, EventPriority::Default,
+        EventPriority::Cpu, EventPriority::Stats};
+    constexpr std::array<Tick, 3> bases = {0, (Tick{1} << 40) - 8,
+                                           Tick{3} << 39};
+    struct Scheduled
+    {
+        Tick when;
+        int prio;
+        bool cancelled;
+    };
+    Rng rng(2024);
+    for (int round = 0; round < 20; ++round) {
+        EventQueue eq;
+        std::vector<Scheduled> scheduled; // in scheduling order
+        std::vector<EventId> ids;
+        std::vector<std::size_t> fired;
+        std::function<void(Tick, std::size_t)> add = [&](Tick when,
+                                                         std::size_t p) {
+            std::size_t n = scheduled.size();
+            scheduled.push_back({when, static_cast<int>(prios[p]), false});
+            ids.push_back(eq.schedule(
+                when,
+                [&, n, when, p] {
+                    fired.push_back(n);
+                    if (scheduled.size() >= 2000)
+                        return;
+                    switch (rng.below(4)) {
+                    case 0:
+                        add(when, p + rng.below(prios.size() - p));
+                        break;
+                    case 1:
+                        add(when + 1 + rng.below(16),
+                            rng.below(prios.size()));
+                        break;
+                    default:
+                        break;
+                    }
+                },
+                prios[p]));
+        };
+        for (int i = 0; i < 300; ++i)
+            add(bases[rng.below(bases.size())] + rng.below(16),
+                rng.below(prios.size()));
+        for (int i = 0; i < 30; ++i) {
+            std::size_t victim = rng.below(ids.size());
+            if (eq.cancel(ids[victim]))
+                scheduled[victim].cancelled = true;
+        }
+        eq.run();
+
+        std::vector<std::size_t> expected;
+        for (std::size_t n = 0; n < scheduled.size(); ++n)
+            if (!scheduled[n].cancelled)
+                expected.push_back(n);
+        std::stable_sort(expected.begin(), expected.end(),
+                         [&](std::size_t a, std::size_t b) {
+                             const Scheduled &x = scheduled[a];
+                             const Scheduled &y = scheduled[b];
+                             return x.when != y.when ? x.when < y.when
+                                                     : x.prio < y.prio;
+                         });
+        ASSERT_GT(scheduled.size(), 300u);
+        ASSERT_EQ(fired, expected) << "round " << round;
+        EXPECT_TRUE(eq.empty());
+    }
+}
+
+TEST(EventQueue, CallbacksAreDestroyedExactlyOnce)
+{
+    // Every capture is destroyed exactly once, whether its event fires,
+    // is cancelled, or is still pending when the queue is destroyed.
+    // Each fate meets a move-only capture that fits SmallFn's inline
+    // buffer and one that spills to the heap, passed as a lambda and
+    // as a prebuilt Callback.
+    struct Probe
+    {
+        Probe(std::vector<int> &counts, std::size_t id)
+            : destroyed(counts), id(id)
+        {
+        }
+        ~Probe() { ++destroyed[id]; }
+        std::vector<int> &destroyed;
+        std::size_t id;
+    };
+    constexpr std::size_t n = 12;
+    std::vector<int> destroyed(n, 0);
+    std::vector<int> ran(n, 0);
+    auto small = [&](std::size_t i) {
+        return [&ran, probe = std::make_unique<Probe>(destroyed, i)] {
+            ++ran[probe->id];
+        };
+    };
+    auto large = [&](std::size_t i) {
+        return [&ran, probe = std::make_unique<Probe>(destroyed, i),
+                pad = std::array<std::uint64_t, 8>{}] {
+            ++ran[probe->id + pad[0]];
+        };
+    };
+    static_assert(sizeof(decltype(large(0))) > 64);
+    {
+        EventQueue eq;
+        std::vector<EventId> ids;
+        for (std::size_t i = 0; i < n; ++i) {
+            // Fates by i / 4: fire at tick 10, cancel, left pending.
+            Tick when = i / 4 == 2 ? 1000 : 10;
+            switch (i % 4) {
+            case 0:
+                ids.push_back(eq.schedule(when, small(i)));
+                break;
+            case 1:
+                ids.push_back(eq.schedule(when, large(i)));
+                break;
+            case 2:
+                ids.push_back(
+                    eq.schedule(when, EventQueue::Callback(small(i))));
+                break;
+            default:
+                ids.push_back(
+                    eq.schedule(when, EventQueue::Callback(large(i))));
+                break;
+            }
+        }
+        for (std::size_t i = 0; i < n; ++i)
+            EXPECT_EQ(destroyed[i], 0) << i;
+        for (std::size_t i = 4; i < 8; ++i) {
+            EXPECT_TRUE(eq.cancel(ids[i]));
+            EXPECT_EQ(destroyed[i], 1) << i;
+        }
+        eq.runUntil(100);
+        for (std::size_t i = 0; i < n; ++i) {
+            EXPECT_EQ(ran[i], i < 4 ? 1 : 0) << i;
+            EXPECT_EQ(destroyed[i], i < 8 ? 1 : 0) << i;
+        }
+        EXPECT_EQ(eq.pendingEvents(), 4u);
+    }
+    for (std::size_t i = 0; i < n; ++i)
+        EXPECT_EQ(destroyed[i], 1) << i;
 }
