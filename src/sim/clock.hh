@@ -107,13 +107,14 @@ class Clocked
      * scheduleCycles(0, fn) fires at the next edge (or immediately if now
      * is exactly on an edge).
      */
+    template <typename F>
     EventId
-    scheduleCycles(Cycles cycles, EventQueue::Callback fn,
+    scheduleCycles(Cycles cycles, F &&fn,
                    EventPriority prio = EventPriority::Default)
     {
         Tick base = _domain.nextEdgeAtOrAfter(_eq.curTick());
         return _eq.schedule(base + _domain.cyclesToTicks(cycles),
-                            std::move(fn), prio);
+                            std::forward<F>(fn), prio);
     }
 
   private:

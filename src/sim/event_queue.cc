@@ -34,15 +34,9 @@ EventQueue::releaseSlot(std::uint32_t idx)
 }
 
 EventId
-EventQueue::schedule(Tick when, Callback fn, EventPriority prio)
+EventQueue::enqueue(Tick when, EventPriority prio, std::uint32_t idx)
 {
-    panic_if(when < _curTick,
-             "scheduling event in the past: when=", when,
-             " cur=", _curTick);
-    panic_if(!fn, "scheduling null event callback");
-    std::uint32_t idx = acquireSlot();
     Slot &s = slots[idx];
-    s.fn = std::move(fn);
     s.alive = true;
     PendingEntry e{when, static_cast<std::int32_t>(prio), idx, nextSeq++};
     // Nearly every event fires within a cycle or two, so its place is

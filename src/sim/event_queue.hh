@@ -24,6 +24,7 @@
 #define TENGIG_SIM_EVENT_QUEUE_HH
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "sim/logging.hh"
@@ -81,19 +82,35 @@ class EventQueue
      * Schedule a callback.
      *
      * @param when Absolute tick; must be >= curTick().
-     * @param fn Callback invoked when the event fires.
+     * @param fn Callable invoked when the event fires, built straight
+     *        into its slot (a Callback is moved there).
      * @param prio Tie-break priority at equal tick.
      * @return Handle usable with cancel().
      */
-    EventId schedule(Tick when, Callback fn,
-                     EventPriority prio = EventPriority::Default);
+    template <typename F>
+    EventId
+    schedule(Tick when, F &&fn, EventPriority prio = EventPriority::Default)
+    {
+        panic_if(when < _curTick,
+                 "scheduling event in the past: when=", when,
+                 " cur=", _curTick);
+        std::uint32_t idx = acquireSlot();
+        Slot &s = slots[idx];
+        s.fn.assign(std::forward<F>(fn));
+        if (!s.fn) {
+            releaseSlot(idx);
+            panic("scheduling null event callback");
+        }
+        return enqueue(when, prio, idx);
+    }
 
     /** Schedule relative to now. */
+    template <typename F>
     EventId
-    scheduleIn(Tick delta, Callback fn,
+    scheduleIn(Tick delta, F &&fn,
                EventPriority prio = EventPriority::Default)
     {
-        return schedule(_curTick + delta, std::move(fn), prio);
+        return schedule(_curTick + delta, std::forward<F>(fn), prio);
     }
 
     /**
@@ -167,6 +184,8 @@ class EventQueue
 
     std::uint32_t acquireSlot();
     void releaseSlot(std::uint32_t idx);
+    /** Mark slot @p idx live and insert its pending entry. */
+    EventId enqueue(Tick when, EventPriority prio, std::uint32_t idx);
 
     /** Sorted latest-first: the soonest-firing entry is at the back. */
     std::vector<PendingEntry> pending;

@@ -45,20 +45,7 @@ class SmallFn<R(Args...), Inline>
                   std::is_invocable_r_v<R, std::decay_t<F> &, Args...>>>
     SmallFn(F &&f)
     {
-        using D = std::decay_t<F>;
-        if constexpr (std::is_constructible_v<bool, const D &>) {
-            if (!static_cast<bool>(f))
-                return;
-        }
-        if constexpr (sizeof(D) <= Inline &&
-                      alignof(D) <= alignof(std::max_align_t) &&
-                      std::is_nothrow_move_constructible_v<D>) {
-            new (buf) D(std::forward<F>(f));
-            ops = &opsFor<D, true>;
-        } else {
-            *reinterpret_cast<D **>(buf) = new D(std::forward<F>(f));
-            ops = &opsFor<D, false>;
-        }
+        construct(std::forward<F>(f));
     }
 
     SmallFn(SmallFn &&other) noexcept { moveFrom(other); }
@@ -96,7 +83,46 @@ class SmallFn<R(Args...), Inline>
         }
     }
 
+    /**
+     * Replace the held callable with @p f, built straight into this
+     * object's buffer with the constructor's inline-or-heap choice:
+     * no temporary SmallFn is built and then relocated.  A SmallFn
+     * argument is moved, as by move assignment.
+     */
+    template <typename F>
+    void
+    assign(F &&f)
+    {
+        if constexpr (std::is_same_v<std::decay_t<F>, SmallFn>) {
+            *this = std::forward<F>(f);
+        } else {
+            reset();
+            construct(std::forward<F>(f));
+        }
+    }
+
   private:
+    /** Build @p f into the (empty) buffer. */
+    template <typename F>
+    void
+    construct(F &&f)
+    {
+        using D = std::decay_t<F>;
+        if constexpr (std::is_constructible_v<bool, const D &>) {
+            if (!static_cast<bool>(f))
+                return;
+        }
+        if constexpr (sizeof(D) <= Inline &&
+                      alignof(D) <= alignof(std::max_align_t) &&
+                      std::is_nothrow_move_constructible_v<D>) {
+            new (buf) D(std::forward<F>(f));
+            ops = &opsFor<D, true>;
+        } else {
+            *reinterpret_cast<D **>(buf) = new D(std::forward<F>(f));
+            ops = &opsFor<D, false>;
+        }
+    }
+
     /**
      * Null relocate/destroy mark a trivially-copyable inline callable:
      * moveFrom() then memcpys the buffer instead of calling through a
