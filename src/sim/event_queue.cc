@@ -12,6 +12,30 @@ makeId(std::uint32_t slot, std::uint32_t generation)
     return (static_cast<EventId>(slot) + 1) << 32 | generation;
 }
 
+/** seq takes the order key's low 56 bits: at 12.5M events per host
+ *  second that is about 180 years of scheduling. */
+constexpr std::uint64_t maxSeq = std::uint64_t{1} << 56;
+
+/** The order key holds a priority in its top 8 bits. */
+constexpr bool
+packsInOrderKey(EventPriority p)
+{
+    return static_cast<int>(p) >= -128 && static_cast<int>(p) <= 127;
+}
+static_assert(packsInOrderKey(EventPriority::HardwareProgress) &&
+                  packsInOrderKey(EventPriority::Default) &&
+                  packsInOrderKey(EventPriority::Cpu) &&
+                  packsInOrderKey(EventPriority::Stats),
+              "every EventPriority must fit in [-128, 127]");
+
+/** (prio + 128) << 56 | seq: priority first, then insertion order. */
+constexpr std::uint64_t
+orderKey(EventPriority prio, std::uint64_t seq)
+{
+    return static_cast<std::uint64_t>(static_cast<int>(prio) + 128) << 56 |
+           seq;
+}
+
 } // namespace
 
 std::uint32_t
@@ -36,9 +60,10 @@ EventQueue::releaseSlot(std::uint32_t idx)
 EventId
 EventQueue::enqueue(Tick when, EventPriority prio, std::uint32_t idx)
 {
+    panic_if(nextSeq >= maxSeq, "event sequence overflow");
     Slot &s = slots[idx];
     s.alive = true;
-    PendingEntry e{when, static_cast<std::int32_t>(prio), idx, nextSeq++};
+    PendingEntry e{when, orderKey(prio, nextSeq++), idx};
     // Nearly every event fires within a cycle or two, so its place is
     // at or near the back (the soonest end); scan from there.
     std::size_t i = pending.size();

@@ -48,7 +48,9 @@ constexpr EventId invalidEventId = 0;
 
 /**
  * Priorities break ties between events scheduled at the same tick.
- * Lower values run first.
+ * Lower values run first.  Each must fit in [-128, 127]: the pending
+ * list packs it into 8 bits of its order key (event_queue.cc asserts
+ * every enumerator).
  */
 enum class EventPriority : int
 {
@@ -153,15 +155,18 @@ class EventQueue
     /**
      * Pending-list node: 24 trivially-copyable bytes.  The callback
      * stays in the slot table so insertion shuffles PODs, not closures.
-     * seq preserves insertion order among equal (when, prio) pairs.
+     * `order` packs the tie-breaks as (prio + 128) << 56 | seq, so
+     * (when, order) read as one 128-bit number is (when, prio, seq)
+     * order; seq preserves insertion order among equal (when, prio)
+     * pairs.
      */
     struct PendingEntry
     {
         Tick when;
-        std::int32_t prio;
+        std::uint64_t order;
         std::uint32_t slot;
-        std::uint64_t seq;
     };
+    static_assert(sizeof(PendingEntry) == 24);
 
     /** Out-of-line callback storage, recycled through a free list. */
     struct Slot
@@ -171,15 +176,12 @@ class EventQueue
         bool alive = false;
     };
 
-    /** @return true if @p a fires after @p b. */
+    /** @return true if @p a fires after @p b: one 128-bit compare. */
     static bool
     laterThan(const PendingEntry &a, const PendingEntry &b)
     {
-        if (a.when != b.when)
-            return a.when > b.when;
-        if (a.prio != b.prio)
-            return a.prio > b.prio;
-        return a.seq > b.seq;
+        using Key = unsigned __int128;
+        return (Key{a.when} << 64 | a.order) > (Key{b.when} << 64 | b.order);
     }
 
     std::uint32_t acquireSlot();
