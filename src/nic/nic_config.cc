@@ -16,6 +16,11 @@ constexpr unsigned maxCores = 64;
 constexpr double minCpuMhz = 1.0;
 constexpr double maxCpuMhz = 10000.0;
 
+/** Far past the paper's 2-4 banks and the architecture ablation's 8;
+ *  checked here because the scratchpad sizes its bank table before its
+ *  own constructor can object. */
+constexpr unsigned maxScratchpadBanks = 64;
+
 } // namespace
 
 void
@@ -26,6 +31,9 @@ NicConfig::validate() const
     fatal_if(!(cpuMhz >= minCpuMhz && cpuMhz <= maxCpuMhz),
              "cpuMhz must be in [", minCpuMhz, ", ", maxCpuMhz,
              "], got ", cpuMhz);
+    fatal_if(scratchpadBanks < 1 || scratchpadBanks > maxScratchpadBanks,
+             "scratchpadBanks must be in [1, ", maxScratchpadBanks,
+             "], got ", scratchpadBanks);
     fatal_if(sendRingFrames < 1, "sendRingFrames must be >= 1, got ",
              sendRingFrames);
 

@@ -245,6 +245,19 @@ TEST(NicConfigErrors, CpuClockOutsideRangeIsFatal)
     }
 }
 
+TEST(NicConfigErrors, ScratchpadBanksOutsideRangeIsFatal)
+{
+    // Just outside both ends.  Unchecked, 0 would reach the
+    // scratchpad's own check, which names no field, and a large value
+    // would size the bank table before anything checks it.
+    for (unsigned n : {0u, 65u}) {
+        NicConfig cfg;
+        cfg.scratchpadBanks = n;
+        expectFatal(cfg, "scratchpadBanks must be in [1, 64], got " +
+                             std::to_string(n));
+    }
+}
+
 TEST(NicConfigErrors, EmptySendRingIsFatal)
 {
     NicConfig cfg;
