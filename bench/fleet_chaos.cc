@@ -68,7 +68,7 @@ chaosNode()
     cfg.txTraffic = TrafficProfile::uniform(
         4, SizeModel::fixed(1472), ArrivalModel::paced(), 0.6, 0xc4a05);
     // Meter host posting to the profile's offered rate: without
-    // pacing the send ring stays backlogged and the tx wire saturates,
+    // pacing the send ring stays full and the tx wire saturates,
     // leaving the switch egress ports zero headroom to ever drain a
     // retransmission backlog.
     cfg.txPaceRate = 0.6;

@@ -12,11 +12,13 @@ captureControlTrace(NicController &nic, Tick warmup, Tick duration,
 
     unsigned cores = nic.config().cores;
     Addr metadata_start = nic.firmwareState().metadataStart;
-    bool recording = false;
+    const EventQueue &eq = nic.eventQueue();
     nic.scratchpad().setTracer(
-        [&trace, cores, max_records, &recording,
+        [&trace, cores, max_records, &eq, warmup,
          metadata_start](unsigned requester, Addr addr, bool write) {
-            if (!recording || trace.size() >= max_records)
+            // Record the measured window only: run() opens it once
+            // every event at the warmup tick has fired.
+            if (eq.curTick() <= warmup || trace.size() >= max_records)
                 return;
             // Filter to frame metadata, as the paper did: mailboxes,
             // hardware progress registers and lock words are not
@@ -36,8 +38,7 @@ captureControlTrace(NicController &nic, Tick warmup, Tick duration,
             trace.push_back(AccessRecord{cache, write, addr});
         });
 
-    nic.runWindow(warmup, [&recording] { recording = true; }, duration,
-                  [&recording] { recording = false; });
+    nic.run(warmup, duration);
     nic.scratchpad().setTracer(nullptr);
     return trace;
 }

@@ -158,16 +158,6 @@ FaultInjector::registerTenantStats(obs::StatGroup &g, unsigned vf) const
     p.add("skips", c.poisonSkips, "poisoned frames skipped at commit");
 }
 
-void
-DoorbellRecovery::init(EventQueue &eq, FaultInjector *injector,
-                       unsigned vf, EventQueue::Callback fn)
-{
-    faults = injector;
-    tenant = vf;
-    redeliver = std::move(fn);
-    timer.init(eq, [this] { retry(); });
-}
-
 bool
 DoorbellRecovery::ring()
 {

@@ -35,6 +35,7 @@
 #define TENGIG_FAULT_FAULT_HH
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "net/frame.hh"
@@ -283,11 +284,18 @@ class DoorbellRecovery
     /**
      * @param injector Drop source; null delivers every ring.
      * @param vf Tenant whose doorbell stream rolls and counts.
-     * @param redeliver Delivers the latest value when a retry gets
-     *        through.
+     * @param fn Delivers the latest value when a retry gets through;
+     *        built straight into the recovery, as by schedule().
      */
-    void init(EventQueue &eq, FaultInjector *injector, unsigned vf,
-              EventQueue::Callback redeliver);
+    template <typename F>
+    void
+    init(EventQueue &eq, FaultInjector *injector, unsigned vf, F &&fn)
+    {
+        faults = injector;
+        tenant = vf;
+        redeliver.assign(std::forward<F>(fn));
+        timer.init(eq, [this] { retry(); });
+    }
 
     /**
      * Ring once.  @retval true Delivered: the caller delivers now.

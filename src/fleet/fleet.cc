@@ -131,7 +131,7 @@ class WorkerPool
 
     /** Run work(w) once on every worker; returns when all are done. */
     void
-    runWindow()
+    runEpoch()
     {
         outstanding.store(static_cast<unsigned>(threads.size()),
                           std::memory_order_relaxed);
@@ -550,7 +550,7 @@ FleetRunner::run()
     auto windowTo = [&](Tick until) {
         target = until;
         nextIdx.store(0, std::memory_order_relaxed);
-        pool->runWindow();
+        pool->runEpoch();
         if (failed.load(std::memory_order_relaxed))
             for (const std::exception_ptr &e : thrown)
                 if (e)

@@ -104,29 +104,12 @@ DeviceDriver::postOneSendFrame()
 }
 
 void
-DeviceDriver::postSendFrames(unsigned n)
+DeviceDriver::startSend(std::uint64_t frames)
 {
-    fatal_if(n % config.tsoSegments != 0,
-             "post count must be whole TSO groups");
-    std::uint64_t before = txPosted;
-    for (unsigned i = 0; i < n; i += config.tsoSegments) {
-        fatal_if(txPosted - txConsumed >= config.sendRingFrames,
-                 "send ring overflow: posting past unconsumed frames");
-        if (!postOneSendFrame())
-            break;
-    }
-    if (sendDoorbell && txPosted > before)
-        sendDoorbell(txPosted / config.tsoSegments * 2);
-}
-
-void
-DeviceDriver::startBackloggedSend()
-{
-    backlogged = true;
-    unsigned space = config.sendRingFrames -
-        static_cast<unsigned>(txPosted - txConsumed);
-    space -= space % config.tsoSegments;
-    postSendFrames(space);
+    fatal_if(frames != unlimitedFrames && frames % config.tsoSegments != 0,
+             "send budget must be whole TSO groups, got ", frames);
+    txBudget = frames;
+    resumeSend();
 }
 
 void
@@ -145,13 +128,17 @@ DeviceDriver::txConsumedUpTo(std::uint64_t frames)
 void
 DeviceDriver::resumeSend()
 {
-    if (!backlogged)
-        return;
-    unsigned space = config.sendRingFrames -
-        static_cast<unsigned>(txPosted - txConsumed);
-    space -= space % config.tsoSegments;
-    if (space > 0)
-        postSendFrames(space);
+    // Whole groups only (a finite budget is whole groups too), each
+    // one fitting the ring; a declined frame stops posting until the
+    // next resumeSend().
+    unsigned segs = config.tsoSegments;
+    std::uint64_t before = txPosted;
+    while (txPosted < txBudget &&
+           txPosted - txConsumed + segs <= config.sendRingFrames &&
+           postOneSendFrame()) {
+    }
+    if (sendDoorbell && txPosted > before)
+        sendDoorbell(txPosted / segs * 2);
 }
 
 void

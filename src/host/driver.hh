@@ -32,6 +32,9 @@
 
 namespace tengig {
 
+/** A frame budget with no cap: send or receive for the whole run. */
+constexpr std::uint64_t unlimitedFrames = ~std::uint64_t{0};
+
 /** A buffer descriptor as written into the host rings (16 bytes). */
 struct BufferDesc
 {
@@ -103,18 +106,19 @@ class DeviceDriver
     /// @}
 
     /**
-     * Enter backlogged-transmit mode: the send ring is kept full for
-     * the whole run (the paper's saturation workloads).
+     * Set the transmit budget to @p frames in all (whole TSO groups)
+     * and fill the send ring toward it.  The ring is kept as full as
+     * the budget allows: every consumption refills it, so an unlimited
+     * budget is the paper's saturation workload.
      */
-    void startBackloggedSend();
+    void startSend(std::uint64_t frames = unlimitedFrames);
 
-    /** Post up to @p n frames (tests / finite workloads), stopping
-     *  early when the source reports nothing eligible. */
-    void postSendFrames(unsigned n);
-
-    /** Refill the send ring after the source went dry (only
-     *  meaningful in backlogged mode; otherwise a no-op). */
+    /** Refill the send ring up to the budget: after a consumption, or
+     *  once the source has a frame again after declining one. */
     void resumeSend();
+
+    /** Post nothing more: cap the budget at the frames posted. */
+    void stopSend() { txBudget = txPosted; }
 
     /** Initial fill of the receive pool. */
     void primeReceivePool();
@@ -202,7 +206,7 @@ class DeviceDriver
     Addr txBufBase;           //!< per-frame header+payload buffers
     std::uint64_t txPosted = 0;
     std::uint64_t txConsumed = 0;
-    bool backlogged = false;
+    std::uint64_t txBudget = 0; //!< frames to post in all (startSend)
     std::function<void(std::uint64_t)> sendDoorbell;
     std::unordered_map<std::uint32_t, std::uint32_t> txFlowSeq;
     /** Ring of (flow, flow seq) per posted frame; see txFrameMeta(). */

@@ -124,8 +124,6 @@ NicController::build()
             // stall resumes at the paced rate instead of bursting.
             dc.txFrameNext = [this](std::uint64_t seq)
                 -> std::optional<std::pair<std::uint32_t, unsigned>> {
-                if (txQuiesced)
-                    return std::nullopt;
                 Tick now = eq.curTick();
                 if (now < txPaceNext) {
                     if (!txPaceArmed) {
@@ -624,9 +622,9 @@ void
 NicController::quiesceTx()
 {
     fatal_if(cfg.txPaceRate <= 0.0,
-             "quiesceTx needs paced posting (cfg.txPaceRate): a "
-             "backlogged send ring cannot be stopped cleanly");
-    txQuiesced = true;
+             "quiesceTx needs paced posting (cfg.txPaceRate), as the "
+             "reliable drain phase it serves does");
+    driver->stopSend();
 }
 
 Tick
@@ -661,32 +659,80 @@ NicController::resetAllStats()
     rxLatencyHist.reset();
 }
 
+void
+NicController::useRxTrace(std::istream &in)
+{
+    // The replayer feeds the same MAC entry point the generator would;
+    // the per-flow receive validator and latency tap stay in place.
+    rxEngine = nullptr;
+    source = std::make_unique<TraceReplayer>(
+        eq, in, [this](FrameData &&fd) {
+            return rxArrived(std::move(fd));
+        });
+}
+
+void
+NicController::startRun(std::uint64_t tx_frames, std::uint64_t rx_frames)
+{
+    if (rx_frames > 0)
+        driver->primeReceivePool();
+    driver->startSend(tx_frames);
+    if (rx_frames > 0) {
+        if (rx_frames != unlimitedFrames)
+            source->setFrameLimit(rx_frames);
+        source->start();
+    }
+    startCores();
+}
+
+void
+NicController::beginMeasurement()
+{
+    // Reset core/profile stats, snapshot the delivery counters and the
+    // memory-system counters.
+    resetAllStats();
+    snap.startTick = eq.curTick();
+    snap.txFrames = txFlow.framesReceived();
+    snap.txPayload = txFlow.payloadBytesReceived();
+    snap.rxFrames = driver->rxFramesDelivered();
+    snap.rxPayload = rxFlow.payloadBytesReceived();
+    snap.rxDropped = source->framesDropped();
+    snap.spadAccesses = spad->totalAccesses();
+    snap.ramBytes = ram->transferredBytes();
+    snap.imemBytes = imem->bytesTransferred();
+}
+
 NicResults
-NicController::collect(Tick measured, std::uint64_t tx0_frames,
-                       std::uint64_t tx0_payload,
-                       std::uint64_t rx0_frames,
-                       std::uint64_t rx0_payload,
-                       std::uint64_t rx0_dropped)
+NicController::endMeasurement()
 {
     NicResults r;
-    r.measuredTicks = measured;
-    double secs = static_cast<double>(measured) / tickPerSec;
+    r.measuredTicks = eq.curTick() - snap.startTick;
+    double secs = static_cast<double>(r.measuredTicks) / tickPerSec;
 
-    r.txFrames = txFlow.framesReceived() - tx0_frames;
-    std::uint64_t tx_payload = txFlow.payloadBytesReceived() - tx0_payload;
-    r.rxFrames = driver->rxFramesDelivered() - rx0_frames;
-    std::uint64_t rx_payload = rxFlow.payloadBytesReceived() - rx0_payload;
+    r.txFrames = txFlow.framesReceived() - snap.txFrames;
+    std::uint64_t tx_payload =
+        txFlow.payloadBytesReceived() - snap.txPayload;
+    r.rxFrames = driver->rxFramesDelivered() - snap.rxFrames;
+    std::uint64_t rx_payload =
+        rxFlow.payloadBytesReceived() - snap.rxPayload;
 
     if (secs > 0) {
         r.txUdpGbps = tx_payload * 8.0 / secs / 1e9;
         r.rxUdpGbps = rx_payload * 8.0 / secs / 1e9;
         r.txFps = r.txFrames / secs;
         r.rxFps = r.rxFrames / secs;
+        r.spadGbps = (spad->totalAccesses() - snap.spadAccesses) *
+            32.0 / secs / 1e9;
+        r.sdramGbps = (ram->transferredBytes() - snap.ramBytes) * 8.0 /
+            secs / 1e9;
+        r.imemGbps = (imem->bytesTransferred() - snap.imemBytes) * 8.0 /
+            secs / 1e9;
+        r.imemUtilization = r.imemGbps / imem->peakBandwidthGbps();
     }
     r.totalUdpGbps = r.txUdpGbps + r.rxUdpGbps;
     // The generator counts every arrival the NIC refused, MAC refusals
     // included, so its count alone is each refusal once.
-    r.rxDropped = source->framesDropped() - rx0_dropped;
+    r.rxDropped = source->framesDropped() - snap.rxDropped;
 
     r.integrityErrors = txFlow.integrityErrors() + rxFlow.integrityErrors();
     r.orderGaps = txFlow.gapErrors() + rxFlow.gapErrors();
@@ -729,69 +775,6 @@ NicController::collect(Tick measured, std::uint64_t tx0_frames,
     return r;
 }
 
-NicResults
-NicController::run(Tick warmup, Tick measure)
-{
-    return runWindow(warmup, nullptr, measure, nullptr);
-}
-
-void
-NicController::useRxTrace(std::istream &in)
-{
-    // The replayer feeds the same MAC entry point the generator would;
-    // the per-flow receive validator and latency tap stay in place.
-    rxEngine = nullptr;
-    source = std::make_unique<TraceReplayer>(
-        eq, in, [this](FrameData &&fd) {
-            return rxArrived(std::move(fd));
-        });
-}
-
-void
-NicController::startRun()
-{
-    driver->primeReceivePool();
-    driver->startBackloggedSend();
-    source->start();
-    startCores();
-}
-
-void
-NicController::beginMeasurement()
-{
-    // Reset core/profile stats, snapshot the delivery counters and the
-    // memory-system counters.
-    resetAllStats();
-    snap.startTick = eq.curTick();
-    snap.txFrames = txFlow.framesReceived();
-    snap.txPayload = txFlow.payloadBytesReceived();
-    snap.rxFrames = driver->rxFramesDelivered();
-    snap.rxPayload = rxFlow.payloadBytesReceived();
-    snap.rxDropped = source->framesDropped();
-    snap.spadAccesses = spad->totalAccesses();
-    snap.ramBytes = ram->transferredBytes();
-    snap.imemBytes = imem->bytesTransferred();
-}
-
-NicResults
-NicController::endMeasurement()
-{
-    Tick measured = eq.curTick() - snap.startTick;
-    NicResults r = collect(measured, snap.txFrames, snap.txPayload,
-                           snap.rxFrames, snap.rxPayload, snap.rxDropped);
-    double secs = static_cast<double>(measured) / tickPerSec;
-    if (secs > 0) {
-        r.spadGbps = (spad->totalAccesses() - snap.spadAccesses) *
-            32.0 / secs / 1e9;
-        r.sdramGbps = (ram->transferredBytes() - snap.ramBytes) * 8.0 /
-            secs / 1e9;
-        r.imemGbps = (imem->bytesTransferred() - snap.imemBytes) * 8.0 /
-            secs / 1e9;
-        r.imemUtilization = r.imemGbps / imem->peakBandwidthGbps();
-    }
-    return r;
-}
-
 void
 NicController::stopRun()
 {
@@ -800,60 +783,34 @@ NicController::stopRun()
 }
 
 NicResults
-NicController::runWindow(Tick warmup, std::function<void()> on_start,
-                         Tick measure, std::function<void()> on_end)
+NicController::run(Tick warmup, Tick measure)
 {
     startRun();
-
     eq.runUntil(warmup);
     checkLiveness();
-    if (on_start)
-        on_start();
-
     beginMeasurement();
-
     eq.runUntil(warmup + measure);
     checkLiveness();
-    if (on_end)
-        on_end();
-
     NicResults r = endMeasurement();
     stopRun();
     return r;
 }
 
 NicResults
-NicController::runTxOnly(unsigned frames, Tick limit)
+NicController::runFrames(std::uint64_t tx_frames, std::uint64_t rx_frames,
+                         Tick limit)
 {
-    driver->postSendFrames(frames);
-    startCores();
-    Tick step = 100 * tickPerUs;
+    startRun(tx_frames, rx_frames);
+    beginMeasurement();
+    const Tick step = 100 * tickPerUs;
     while (eq.curTick() < limit &&
-           driver->txFramesConsumed() < frames) {
+           (driver->txFramesConsumed() < tx_frames ||
+            driver->rxFramesDelivered() < rx_frames)) {
         eq.runUntil(eq.curTick() + step);
         checkLiveness();
     }
-    NicResults r = collect(eq.curTick(), 0, 0, 0, 0, 0);
-    stopCores();
-    return r;
-}
-
-NicResults
-NicController::runRxOnly(unsigned frames, Tick limit)
-{
-    driver->primeReceivePool();
-    source->setFrameLimit(frames);
-    source->start();
-    startCores();
-    Tick step = 100 * tickPerUs;
-    while (eq.curTick() < limit &&
-           driver->rxFramesDelivered() < frames) {
-        eq.runUntil(eq.curTick() + step);
-        checkLiveness();
-    }
-    NicResults r = collect(eq.curTick(), 0, 0, 0, 0, 0);
-    source->stop();
-    stopCores();
+    NicResults r = endMeasurement();
+    stopRun();
     return r;
 }
 

@@ -92,47 +92,29 @@ class NicController
     explicit NicController(const NicConfig &cfg);
     ~NicController();
 
-    /**
-     * Run a full-duplex workload.
-     *
-     * @param warmup Simulated time before measurement starts.
-     * @param measure Measured window.
-     * @return Throughput/profile results over the measured window.
-     */
-    NicResults run(Tick warmup, Tick measure);
-
-    /**
-     * Transmit-only finite workload: post @p frames, run until all are
-     * consumed (or @p limit elapses).  Used by correctness tests.
-     */
-    NicResults runTxOnly(unsigned frames, Tick limit);
-
-    /** Receive-only finite workload. */
-    NicResults runRxOnly(unsigned frames, Tick limit);
-
-    /**
-     * Like run(), with hooks fired at the measurement-window edges
-     * (used by the coherence trace capture).
-     */
-    NicResults runWindow(Tick warmup, std::function<void()> on_start,
-                         Tick measure, std::function<void()> on_end);
-
-    /// @name Phase API for external drivers (src/fleet)
-    /// run()/runWindow() are built from these; a fleet runner drives
-    /// many instances' event queues itself in bounded-lag windows, so
-    /// it needs the run lifecycle broken into explicit phases:
-    /// startRun(), then eq.runUntil(...) as it pleases, then
-    /// beginMeasurement() at the window edge, more runUntil, and
-    /// finally endMeasurement() + stopRun().
+    /// @name The run lifecycle
+    /// Every run is startRun(), then eq.runUntil(...) as the driver
+    /// pleases, beginMeasurement() at the window's opening edge, more
+    /// runUntil, and finally endMeasurement() + stopRun().  run() and
+    /// runFrames() are its two compositions; a fleet runner drives
+    /// many instances' event queues itself in bounded-lag windows.
     /// @{
-    /** Prime the driver, start the workload sources and the cores. */
-    void startRun();
+    /**
+     * Prime the receive pool, post the send ring, start the receive
+     * generator and the cores, in that order.  Each direction is
+     * capped: the driver posts at most @p tx_frames and the generator
+     * offers at most @p rx_frames.  A 0 cap leaves its direction idle:
+     * no receive pool primed and no generator started, or nothing
+     * posted.
+     */
+    void startRun(std::uint64_t tx_frames = unlimitedFrames,
+                  std::uint64_t rx_frames = unlimitedFrames);
 
     /** Open the measurement window at the current tick: reset
      *  core/profile stats and snapshot the delivery counters. */
     void beginMeasurement();
 
-    /** Close the measurement window: collect results over the span
+    /** Close the measurement window: every result over the span
      *  since beginMeasurement(). */
     NicResults endMeasurement();
 
@@ -142,19 +124,38 @@ class NicController
     /** Fatal-if-hung check: event queue drained with frames in
      *  flight.  External drivers call this at their window barriers. */
     void checkLiveness();
+
+    /**
+     * A full-duplex workload: @p warmup of simulated time, then a
+     * @p measure window.
+     *
+     * @return Throughput/profile results over the measured window.
+     */
+    NicResults run(Tick warmup, Tick measure);
+
+    /**
+     * A finite workload, measured from the current tick (0 on a fresh
+     * NIC): run in 100 µs steps until the host has consumed
+     * @p tx_frames and been delivered @p rx_frames, or @p limit
+     * passes.  A 0 count leaves that direction idle (startRun()).
+     */
+    NicResults runFrames(std::uint64_t tx_frames, std::uint64_t rx_frames,
+                         Tick limit);
     /// @}
 
     /// @name Fleet chaos and health probes (src/fleet)
     /// @{
     /**
      * Freeze every firmware core mid-run: an induced node-stall
-     * episode.  Unlike stopRun()'s orderly stopCores(), the firmware
-     * watchdog stays armed, so the freeze is *detected* (stall
-     * episodes, pipeline dump) rather than masked.
+     * episode.  Each core finishes its current invocation first.
+     * Unlike stopRun()'s orderly stopCores(), the firmware watchdog
+     * stays armed, so the freeze is *detected* (stall episodes,
+     * pipeline dump) rather than masked.
      */
     void freezeCores();
 
-    /** Resume frozen cores at the next clock edge. */
+    /** Resume frozen cores: at the next clock edge, or straight on
+     *  for a core still finishing the invocation it froze in. */
     void thawCores();
 
     /** Most recent real firmware retirement across all cores -- the
@@ -169,6 +170,7 @@ class NicController
 
     /**
      * Permanently stop paced transmit posting (cfg.txPaceRate): the
+     * driver's budget is capped at the frames already posted.  The
      * fleet drain phase quiesces sources so in-flight reliable
      * deliveries can settle against a finite workload.
      */
@@ -201,17 +203,17 @@ class NicController
     const obs::StatGroup &statTree() const { return statRoot; }
 
     /**
-     * Attach a timeline recorder before run(): claims one lane per
-     * core plus lanes for the assists and SDRAM, and starts a 1 µs
+     * Attach a timeline recorder before startRun(): claims one lane
+     * per core plus lanes for the assists and SDRAM, and starts a 1 µs
      * occupancy sampler (scratchpad grants, SDRAM bus busy fraction).
      * The sampler keeps the event queue non-empty, so traced runs must
-     * use the bounded run entry points (they all are).
+     * be bounded in time, as run() and runFrames() are.
      */
     void attachTrace(obs::TraceLog &t);
 
     /**
      * Replace the receive-direction generator with a recorded trace
-     * (replayed from tick 0 of the run).  Call before run().  The
+     * (replayed from tick 0 of the run).  Call before startRun().  The
      * per-flow receive validator checks the trace's flow-tagged frames.
      */
     void useRxTrace(std::istream &in);
@@ -232,9 +234,9 @@ class NicController
     /** Per-flow host-side receive validator. */
     FlowSink &rxFlowSink() { return rxFlow; }
 
-    /** The rx generator: attach a TraceRecorder before run().  Null
-     *  with no receive profile (an idle vnic or fleet node) and after
-     *  useRxTrace(). */
+    /** The rx generator: attach a TraceRecorder before startRun().
+     *  Null with no receive profile (an idle vnic or fleet node) and
+     *  after useRxTrace(). */
     TrafficEngine *rxTrafficEngine() { return rxEngine; }
 
     FrameGenerator &frameGenerator() { return *source; }
@@ -260,9 +262,6 @@ class NicController
     void occupancySample();
     void startCores();
     void stopCores();
-    NicResults collect(Tick measured, std::uint64_t tx0_frames,
-                       std::uint64_t tx0_payload, std::uint64_t rx0_frames,
-                       std::uint64_t rx0_payload, std::uint64_t rx0_dropped);
     void resetAllStats();
 
     /// @name Doorbell delivery with lost-notification recovery
@@ -299,7 +298,6 @@ class NicController
     std::unique_ptr<TxSchedule> txSched;
     Tick txPaceNext = 0;      //!< earliest paced-tx posting tick
     bool txPaceArmed = false; //!< a resumeSend wakeup is scheduled
-    bool txQuiesced = false;  //!< paced posting stopped for good
 
     std::unique_ptr<DmaAssist> dmaRead;
     std::unique_ptr<DmaAssist> dmaWrite;

@@ -96,7 +96,7 @@ struct NicConfig
     /**
      * When nonzero, meter host send-descriptor posting to this
      * fraction of 10 Gb/s line rate (measured in wire time) instead
-     * of keeping the send ring backlogged.  Must lie in [0, 1] (NaN
+     * of keeping the send ring full.  Must lie in [0, 1] (NaN
      * is fatal, not unpaced).  Requires txTraffic; the transmit wire
      * then carries the profile's intended offered load rather than
      * saturating -- fleets that must recover from fabric faults need

@@ -169,21 +169,21 @@ StatGroup::has(const std::string &path) const
 }
 
 void
-StatGroup::collect(const std::string &prefix,
-                   std::vector<std::string> &out) const
+StatGroup::appendNames(const std::string &prefix,
+                       std::vector<std::string> &out) const
 {
     for (const auto &[name, e] : entries)
         out.push_back(prefix + name);
     for (const auto &[name, child] : children)
-        child->collect(prefix + name + ".", out);
+        child->appendNames(prefix + name + ".", out);
 }
 
 std::vector<std::string>
 StatGroup::names() const
 {
     std::vector<std::string> out;
-    collect("", out);
-    // collect() emits each level's own stats before its children, so
+    appendNames("", out);
+    // appendNames() emits each level's own stats before its children, so
     // the result interleaves depths; sort for a stable listing.
     std::sort(out.begin(), out.end());
     return out;

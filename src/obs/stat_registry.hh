@@ -92,8 +92,8 @@ class StatGroup
     /** Fatal (naming both registrants) unless @p name is unused. */
     void checkFresh(const std::string &name,
                     const std::string &new_desc) const;
-    void collect(const std::string &prefix,
-                 std::vector<std::string> &out) const;
+    void appendNames(const std::string &prefix,
+                     std::vector<std::string> &out) const;
 
     std::map<std::string, Entry> entries;
     std::map<std::string, std::unique_ptr<StatGroup>> children;

@@ -38,19 +38,18 @@ Core::Core(EventQueue &eq, const ClockDomain &domain, unsigned id,
            const CodeLayout &layout_, FirmwareProfile &profile_)
     : Clocked(eq, domain), coreId(id), dispatcher(dispatcher_),
       spad(spad_), icache(icache_), layout(layout_), profile(profile_)
-{
-    invEvent.init(*this, [this] { nextInvocation(); }, EventPriority::Cpu);
-    opEvent.init(*this, [this] { beginOp(); }, EventPriority::Cpu);
-    issueEvent.init(*this, [this] { issueMem(); }, EventPriority::Cpu);
-    storeEvent.init(*this, [this] { tryIssueStore(); }, EventPriority::Cpu);
-}
+{}
 
 void
 Core::start()
 {
     running = true;
-    if (!invEvent.scheduled())
-        invEvent.scheduleCycles(0);
+    // One replay chain per core: a live one sees the cleared stop at
+    // its next nextInvocation(), so only an ended chain restarts.
+    if (replaying)
+        return;
+    replaying = true;
+    scheduleCycles(0, [this] { nextInvocation(); }, EventPriority::Cpu);
 }
 
 void
@@ -103,8 +102,10 @@ Core::nextInvocation()
                         curTick() - invStart, "firmware");
         }
     }
-    if (!running)
+    if (!running) {
+        replaying = false;
         return;
+    }
     dispatcher.next(coreId, current);
     opIdx = 0;
     actIdx = 0;
@@ -133,7 +134,7 @@ Core::nextInvocation()
         // Degenerate dispatcher result: charge one idle cycle so
         // simulated time always advances.
         _stats.idleCycles += 1;
-        invEvent.scheduleCycles(1);
+        scheduleCycles(1, [this] { nextInvocation(); }, EventPriority::Cpu);
         return;
     }
     beginOp();
@@ -216,7 +217,8 @@ Core::beginOp()
         }
         account(tag, op.count, 0, busy);
         ++opIdx;
-        opEvent.scheduleCycles(busy + imiss);
+        scheduleCycles(busy + imiss, [this] { beginOp(); },
+                       EventPriority::Cpu);
         return;
       }
 
@@ -225,7 +227,8 @@ Core::beginOp()
         Cycles imiss = fetchStall(tag, 1);
         chargeImiss(tag, imiss);
         if (imiss)
-            issueEvent.scheduleCycles(imiss);
+            scheduleCycles(imiss, [this] { issueMem(); },
+                           EventPriority::Cpu);
         else
             issueMem();
         return;
@@ -237,7 +240,8 @@ Core::beginOp()
         pendingTag = tag;
         pendingAddr = op.addr;
         if (imiss)
-            storeEvent.scheduleCycles(imiss);
+            scheduleCycles(imiss, [this] { tryIssueStore(); },
+                           EventPriority::Cpu);
         else
             tryIssueStore();
         return;
@@ -288,7 +292,7 @@ Core::tryIssueStore()
         else
             _stats.conflictCycles += 1;
         account(tag, 0, 0, 1);
-        storeEvent.scheduleCycles(1);
+        scheduleCycles(1, [this] { tryIssueStore(); }, EventPriority::Cpu);
         return;
     }
     storeBufferBusy = true;
@@ -303,7 +307,7 @@ Core::tryIssueStore()
         _stats.executeCycles += 1;
     account(tag, 1, 1, 1);
     ++opIdx;
-    opEvent.scheduleCycles(1);
+    scheduleCycles(1, [this] { beginOp(); }, EventPriority::Cpu);
 }
 
 } // namespace tengig

@@ -94,10 +94,11 @@ class Core : public Clocked
          Dispatcher &dispatcher, Scratchpad &spad, ICache &icache,
          const CodeLayout &layout, FirmwareProfile &profile);
 
-    /** Begin executing at the next clock edge. */
+    /** Begin executing at the next clock edge.  During a live
+     *  invocation it only clears a stop(): the replay goes on. */
     void start();
 
-    /** Stop pulling new work once the current op completes. */
+    /** Stop pulling new work once the current invocation completes. */
     void stop() { running = false; }
 
     unsigned id() const { return coreId; }
@@ -142,18 +143,12 @@ class Core : public Clocked
     std::size_t opIdx = 0;
     std::size_t actIdx = 0; //!< next entry of current.actions to fire
     Addr pcOffset[numFuncTags] = {}; //!< per-bucket PC offset
-    bool running = false;
+    bool running = false;   //!< cleared by stop(), set by start()
+    bool replaying = false; //!< a replay chain is live (see start())
 
     bool storeBufferBusy = false;
     FuncTag pendingTag = FuncTag::Idle; //!< in-flight store bookkeeping
     Addr pendingAddr = 0;
-
-    // Persistent continuation events: armed with an 8-byte trampoline,
-    // so the replay loop allocates nothing in steady state.
-    ClockedEvent invEvent;   //!< -> nextInvocation()
-    ClockedEvent opEvent;    //!< -> beginOp()
-    ClockedEvent issueEvent; //!< -> issueMem() after an I-miss
-    ClockedEvent storeEvent; //!< -> tryIssueStore()
 
     unsigned traceLane = 0xffffffffu; //!< obs::noTraceLane
     bool invTraced = false;           //!< an invocation span is open

@@ -15,7 +15,6 @@
 #include <string>
 
 #include "sim/event_queue.hh"
-#include "sim/fast_div.hh"
 #include "sim/logging.hh"
 #include "sim/types.hh"
 
@@ -35,7 +34,6 @@ class ClockDomain
         : _name(std::move(name)), _period(period)
     {
         fatal_if(period == 0, "clock domain '", _name, "' with zero period");
-        _div.init(period);
     }
 
     const std::string &name() const { return _name; }
@@ -46,7 +44,7 @@ class ClockDomain
     Tick edge(Cycles n) const { return n * _period; }
 
     /** Cycle index of the most recent edge at or before @p t. */
-    Cycles cycleAt(Tick t) const { return _div.divide(t); }
+    Cycles cycleAt(Tick t) const { return t / _period; }
 
     /**
      * First edge at or after @p t (a request arriving mid-cycle is
@@ -55,14 +53,14 @@ class ClockDomain
     Tick
     nextEdgeAtOrAfter(Tick t) const
     {
-        return _div.divide(t + _period - 1) * _period;
+        return (t + _period - 1) / _period * _period;
     }
 
     /** First edge strictly after @p t. */
     Tick
     nextEdgeAfter(Tick t) const
     {
-        return (_div.divide(t) + 1) * _period;
+        return (t / _period + 1) * _period;
     }
 
     /** Convert a cycle count to a duration in ticks. */
@@ -72,13 +70,12 @@ class ClockDomain
     Cycles
     ticksToCycles(Tick d) const
     {
-        return _div.divide(d + _period - 1);
+        return (d + _period - 1) / _period;
     }
 
   private:
     std::string _name;
     Tick _period;
-    FastDiv _div; //!< period specialized once (shift or magic multiply)
 };
 
 /**
@@ -123,13 +120,14 @@ class Clocked
 };
 
 /**
- * A persistent, re-armable event.
+ * A persistent, cancellable timer: the firmware watchdog, the doorbell
+ * retry, the vnic refill and the occupancy sampler.
  *
- * The callback is type-erased once at init() time; every arm schedules
- * only an 8-byte trampoline, so components that fire an event per cycle
- * (core micro-op continuations, assist progress loops, the occupancy
- * sampler) construct zero closures in steady state.  The handle clears
- * before the callback runs, so the callback may re-arm itself.
+ * The callback is built once, at init(); every arm schedules only an
+ * 8-byte trampoline, and the kept handle makes cancel() exact.  The
+ * handle clears before the callback runs, so the callback may re-arm
+ * itself.  Components that never cancel (the cores' replay loop)
+ * schedule through Clocked::scheduleCycles instead.
  */
 class RecurringEvent
 {
@@ -139,15 +137,16 @@ class RecurringEvent
     RecurringEvent &operator=(const RecurringEvent &) = delete;
     ~RecurringEvent() { cancel(); }
 
-    /** Bind the queue, callback, and tie-break priority (once). */
+    /** Bind the queue, callback, and tie-break priority (once).  The
+     *  callable is built straight into the event, as by schedule(). */
+    template <typename F>
     void
-    init(EventQueue &eq, EventQueue::Callback fn,
-         EventPriority prio = EventPriority::Default)
+    init(EventQueue &eq, F &&fn, EventPriority prio = EventPriority::Default)
     {
         panic_if(_eq, "recurring event initialised twice");
-        panic_if(!fn, "recurring event with null callback");
+        _fn.assign(std::forward<F>(fn));
+        panic_if(!_fn, "recurring event with null callback");
         _eq = &eq;
-        _fn = std::move(fn);
         _prio = prio;
     }
 
@@ -188,41 +187,6 @@ class RecurringEvent
     EventQueue::Callback _fn;
     EventPriority _prio = EventPriority::Default;
     EventId _id = invalidEventId;
-};
-
-/**
- * A RecurringEvent owned by a Clocked component, armed in cycles with
- * the same edge-alignment semantics as Clocked::scheduleCycles().
- */
-class ClockedEvent
-{
-  public:
-    ClockedEvent() = default;
-
-    void
-    init(Clocked &owner, EventQueue::Callback fn,
-         EventPriority prio = EventPriority::Default)
-    {
-        _owner = &owner;
-        _ev.init(owner.eventQueue(), std::move(fn), prio);
-    }
-
-    bool scheduled() const { return _ev.scheduled(); }
-
-    /** Arm @p cycles edges after the next edge at-or-after now. */
-    void
-    scheduleCycles(Cycles cycles)
-    {
-        const ClockDomain &d = _owner->clockDomain();
-        Tick base = d.nextEdgeAtOrAfter(_owner->curTick());
-        _ev.scheduleAt(base + d.cyclesToTicks(cycles));
-    }
-
-    bool cancel() { return _ev.cancel(); }
-
-  private:
-    Clocked *_owner = nullptr;
-    RecurringEvent _ev;
 };
 
 } // namespace tengig

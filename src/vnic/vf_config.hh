@@ -46,8 +46,9 @@ struct VfConfig
     /// @}
 
     /**
-     * Transmit workload: the flows this tenant posts (backlogged, like
-     * startBackloggedSend).  Flow ids are VF-local; the mux offsets
+     * Transmit workload: the flows this tenant posts whenever the
+     * driver's send ring has room (the tenant always has a frame to
+     * send).  Flow ids are VF-local; the mux offsets
      * them into one global id space so the shared wire-side validator
      * keeps per-flow ordering checks.
      */

@@ -150,25 +150,6 @@ TEST(Clocked, DomainsWithDifferentPeriodsInterleave)
     EXPECT_EQ(order[3], std::make_pair('c', Tick{10000}));
 }
 
-TEST(FastDiv, MatchesHardwareDivision)
-{
-    // The magic-multiply path must agree with n / d for the divisor
-    // shapes ClockDomain uses: 1, powers of two, and odd periods.
-    const std::uint64_t divisors[] = {1, 2, 8, 4096, 3, 5000, 6000,
-                                      6024, 2000, 10000, 7919};
-    const std::uint64_t values[] = {
-        0, 1, 2, 4999, 5000, 5001, 6023, 6024,
-        123456789, 4000000000ull,            // 4 s of sim time
-        3600ull * 1000 * 1000 * 1000 * 1000, // one simulated hour
-        ~std::uint64_t{0} - 1, ~std::uint64_t{0}};
-    for (std::uint64_t d : divisors) {
-        FastDiv fd(d);
-        EXPECT_EQ(fd.divisor(), d);
-        for (std::uint64_t n : values)
-            EXPECT_EQ(fd.divide(n), n / d) << n << " / " << d;
-    }
-}
-
 TEST(RecurringEvent, RearmsFromOwnCallback)
 {
     EventQueue eq;
@@ -229,22 +210,4 @@ TEST(RecurringEvent, DoubleInitPanics)
     RecurringEvent ev;
     ev.init(eq, [] {});
     EXPECT_THROW(ev.init(eq, [] {}), PanicError);
-}
-
-TEST(ClockedEvent, SchedulesOnDomainEdges)
-{
-    EventQueue eq;
-    ClockDomain cpu("cpu", 5000);
-    Probe p(eq, cpu);
-    ClockedEvent ev;
-    std::vector<Tick> fired;
-    ev.init(p, [&] {
-        fired.push_back(eq.curTick());
-        if (fired.size() < 3)
-            ev.scheduleCycles(1);
-    });
-    // Arm mid-cycle: one cycle after the next edge (5000) -> 10000.
-    eq.schedule(1, [&] { ev.scheduleCycles(1); });
-    eq.run();
-    EXPECT_EQ(fired, (std::vector<Tick>{10000, 15000, 20000}));
 }

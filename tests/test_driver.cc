@@ -68,7 +68,7 @@ TEST_F(DriverFixture, PostSendFramesWritesTwoBdsPerFrame)
     DeviceDriver drv(host, cfg);
     std::uint64_t doorbell = 0;
     drv.onSendDoorbell([&](std::uint64_t bds) { doorbell = bds; });
-    drv.postSendFrames(3);
+    drv.startSend(3);
     EXPECT_EQ(drv.txFramesPosted(), 3u);
     EXPECT_EQ(doorbell, 6u);
 
@@ -90,27 +90,48 @@ TEST_F(DriverFixture, PostSendFramesWritesTwoBdsPerFrame)
     }
 }
 
-TEST_F(DriverFixture, SendRingOverflowIsFatal)
+TEST_F(DriverFixture, UnlimitedSendRefillsOnConsumption)
 {
     DeviceDriver drv(host, cfg);
-    drv.postSendFrames(8);
-    EXPECT_THROW(drv.postSendFrames(1), FatalError);
-}
-
-TEST_F(DriverFixture, BackloggedModeRefillsOnConsumption)
-{
-    DeviceDriver drv(host, cfg);
-    drv.startBackloggedSend();
+    drv.startSend();
     EXPECT_EQ(drv.txFramesPosted(), 8u);
     drv.txConsumedUpTo(5);
     EXPECT_EQ(drv.txFramesConsumed(), 5u);
     EXPECT_EQ(drv.txFramesPosted(), 13u); // refilled to ring capacity
 }
 
+TEST_F(DriverFixture, SendBudgetPostsExactlyItsFramesAcrossRefills)
+{
+    DeviceDriver drv(host, cfg);
+    std::uint64_t doorbell = 0;
+    drv.onSendDoorbell([&](std::uint64_t bds) { doorbell = bds; });
+    drv.startSend(20); // more than the 8-frame ring holds
+    EXPECT_EQ(drv.txFramesPosted(), 8u);
+    drv.txConsumedUpTo(6);
+    EXPECT_EQ(drv.txFramesPosted(), 14u);
+    drv.txConsumedUpTo(14);
+    EXPECT_EQ(drv.txFramesPosted(), 20u);
+    drv.txConsumedUpTo(20);
+    drv.resumeSend();
+    EXPECT_EQ(drv.txFramesPosted(), 20u);
+    EXPECT_EQ(doorbell, 40u);
+}
+
+TEST_F(DriverFixture, StopSendCapsTheBudgetAtThePostedFrames)
+{
+    DeviceDriver drv(host, cfg);
+    drv.startSend();
+    drv.txConsumedUpTo(3);
+    EXPECT_EQ(drv.txFramesPosted(), 11u);
+    drv.stopSend();
+    drv.txConsumedUpTo(11);
+    EXPECT_EQ(drv.txFramesPosted(), 11u);
+}
+
 TEST_F(DriverFixture, StaleConsumptionUpdatesIgnored)
 {
     DeviceDriver drv(host, cfg);
-    drv.postSendFrames(6);
+    drv.startSend(6);
     drv.txConsumedUpTo(4);
     drv.txConsumedUpTo(2); // stale writeback, must be ignored
     EXPECT_EQ(drv.txFramesConsumed(), 4u);
@@ -180,9 +201,9 @@ TEST_F(DriverFixture, RxGapFromDropIsNotAnOrderError)
 TEST_F(DriverFixture, InvalidPayloadSizeIsFatal)
 {
     cfg.txFrameNext = fixedSpec(4);
-    EXPECT_THROW(DeviceDriver(host, cfg).postSendFrames(1), FatalError);
+    EXPECT_THROW(DeviceDriver(host, cfg).startSend(1), FatalError);
     cfg.txFrameNext = fixedSpec(5000);
-    EXPECT_THROW(DeviceDriver(host, cfg).postSendFrames(1), FatalError);
+    EXPECT_THROW(DeviceDriver(host, cfg).startSend(1), FatalError);
 }
 
 TEST_F(DriverFixture, TsoPostsOnePairPerGroup)
@@ -192,7 +213,7 @@ TEST_F(DriverFixture, TsoPostsOnePairPerGroup)
     DeviceDriver drv(host, cfg);
     std::uint64_t doorbell = 0;
     drv.onSendDoorbell([&](std::uint64_t bds) { doorbell = bds; });
-    drv.postSendFrames(8); // two groups
+    drv.startSend(8); // two groups
     EXPECT_EQ(drv.txFramesPosted(), 8u);
     EXPECT_EQ(doorbell, 4u); // 2 BDs per group
 
@@ -214,7 +235,12 @@ TEST_F(DriverFixture, TsoRejectsPartialGroups)
 {
     cfg.tsoSegments = 4;
     DeviceDriver drv(host, cfg);
-    EXPECT_THROW(drv.postSendFrames(3), FatalError);
+    // A budget must be whole groups; an unlimited one has no end.
+    EXPECT_THROW(drv.startSend(3), FatalError);
+    EXPECT_THROW(drv.startSend(10), FatalError);
+    EXPECT_EQ(drv.txFramesPosted(), 0u);
+    drv.startSend();
+    EXPECT_EQ(drv.txFramesPosted(), 8u);
     cfg.tsoSegments = 3; // does not divide the ring
     EXPECT_THROW(DeviceDriver(host, cfg), FatalError);
 }
@@ -229,7 +255,7 @@ TEST_F(DriverFixture, TsoRejectsMixedSizeGroups)
             {0, i == 2 ? 500 : 1000}};
     };
     DeviceDriver drv(host, cfg);
-    EXPECT_THROW(drv.postSendFrames(4), FatalError);
+    EXPECT_THROW(drv.startSend(4), FatalError);
 }
 
 TEST_F(DriverFixture, TsoSourceMayDeclineOnlyAGroupsFirstFrame)
@@ -245,10 +271,14 @@ TEST_F(DriverFixture, TsoSourceMayDeclineOnlyAGroupsFirstFrame)
         return std::pair<std::uint32_t, unsigned>{0, 1000};
     };
     DeviceDriver drv(host, cfg);
-    drv.postSendFrames(8);
+    drv.startSend(16);
     EXPECT_EQ(drv.txFramesPosted(), 4u);
-    declineAt = 5;
-    EXPECT_THROW(drv.postSendFrames(4), PanicError);
+    // The next refill asks for frame 4 again and fills the ring.
+    declineAt = 100;
+    drv.resumeSend();
+    EXPECT_EQ(drv.txFramesPosted(), 8u);
+    declineAt = 9;
+    EXPECT_THROW(drv.txConsumedUpTo(4), PanicError);
 }
 
 TEST_F(DriverFixture, MissingTxSourceIsFatal)

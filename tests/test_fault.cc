@@ -347,7 +347,7 @@ TEST(NicFaults, WireStormIsDroppedAtTheMacAndFullyAccounted)
     cfg.faults.wireTruncateRate = 0.03;
     cfg.faults.wireRuntRate = 0.02;
     NicController nic(cfg);
-    NicResults r = nic.runRxOnly(400, 5 * tickPerMs);
+    NicResults r = nic.runFrames(0, 400, 5 * tickPerMs);
 
     // The fault subtree is registered on fault-enabled runs.
     const obs::StatGroup *f = nic.statTree().findGroup("fault");
@@ -371,7 +371,7 @@ TEST(NicFaults, PoisonedTxFramesSkipWithoutBreakingOrder)
     NicConfig cfg = faultBase();
     cfg.faults.txPoisonRate = 0.05;
     NicController nic(cfg);
-    nic.runTxOnly(400, 50 * tickPerMs);
+    nic.runFrames(400, 0, 50 * tickPerMs);
 
     const obs::StatGroup *f = nic.statTree().findGroup("fault");
     ASSERT_NE(f, nullptr);
@@ -399,7 +399,7 @@ TEST(NicFaults, LostDoorbellIsRecoveredByTimeoutRetryWithBackoff)
     cfg.faults.doorbellDropRate = 1.0;
     cfg.faults.stormEnd = 30 * tickPerUs;
     NicController nic(cfg);
-    nic.runTxOnly(200, 20 * tickPerMs);
+    nic.runFrames(200, 0, 20 * tickPerMs);
 
     const obs::StatGroup &t = nic.statTree();
     EXPECT_EQ(t.value("fault.doorbell.lost"), 2.0);
@@ -436,7 +436,7 @@ TEST(NicFaults, WatchdogStaysQuietOnAHealthyRun)
     NicConfig cfg = faultBase();
     cfg.faults.watchdogCycles = 20000; // 100 us at 200 MHz
     NicController nic(cfg);
-    nic.runTxOnly(200, 20 * tickPerMs);
+    nic.runFrames(200, 0, 20 * tickPerMs);
 
     const obs::StatGroup &t = nic.statTree();
     ASSERT_TRUE(t.has("fault.watchdog.checks"));

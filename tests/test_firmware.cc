@@ -60,8 +60,7 @@ checkRxInvariants(const FwState &st)
 TEST(FirmwarePipeline, TxCountersRespectStageOrderThroughout)
 {
     NicController nic(smallConfig());
-    nic.deviceDriver().postSendFrames(300);
-    nic.startRun();
+    nic.startRun(300);
     auto &eq = nic.eventQueue();
     // Sample invariants repeatedly while the pipeline runs.
     for (int i = 0; i < 40; ++i) {
@@ -71,14 +70,14 @@ TEST(FirmwarePipeline, TxCountersRespectStageOrderThroughout)
     }
     // The samples saw a moving pipeline, not an idle one.
     const FwState &st = nic.firmwareState();
-    EXPECT_GE(st.macTxDone, 300u);
+    EXPECT_EQ(st.macTxDone, 300u);
     EXPECT_GT(st.rxCommitted, 0u);
 }
 
 TEST(FirmwarePipeline, DrainsToQuiescenceAfterFiniteWork)
 {
     NicController nic(smallConfig());
-    nic.runTxOnly(200, 50 * tickPerMs);
+    nic.runFrames(200, 0, 50 * tickPerMs);
     const FwState &st = nic.firmwareState();
     EXPECT_EQ(st.macTxDone, 200u);
     EXPECT_EQ(st.txComplProcessed, 200u);
@@ -93,10 +92,37 @@ TEST(FirmwarePipeline, DrainsToQuiescenceAfterFiniteWork)
     EXPECT_EQ(st.macTxReserved, 0u);
 }
 
+TEST(FirmwarePipeline, DuplexFiniteWorkDrainsBothDirections)
+{
+    // Both directions capped in one run: the NIC drains to quiescence
+    // once the host has consumed and been delivered every frame.  Six
+    // cores keep up with duplex line rate, so no arrival is shed.
+    NicConfig cfg = smallConfig();
+    cfg.cores = 6;
+    NicController nic(cfg);
+    NicResults r = nic.runFrames(300, 300, 50 * tickPerMs);
+    const FwState &st = nic.firmwareState();
+    EXPECT_EQ(st.macTxDone, 300u);
+    EXPECT_EQ(st.rxCommitted, 300u);
+    EXPECT_EQ(st.rxSlotsFreed, 300u);
+    EXPECT_EQ(r.txFrames, 300u);
+    EXPECT_EQ(r.rxFrames, 300u);
+    EXPECT_EQ(r.errors, 0u);
+    checkTxInvariants(st);
+    checkRxInvariants(st);
+    for (unsigned l = 0; l < numFwLocks; ++l)
+        EXPECT_FALSE(st.lockHeld[l]) << "lock " << l;
+    EXPECT_FALSE(st.txCommitBusy);
+    EXPECT_FALSE(st.rxCommitBusy);
+    EXPECT_EQ(st.dmaReadReserved, 0u);
+    EXPECT_EQ(st.dmaWriteReserved, 0u);
+    EXPECT_EQ(st.macTxReserved, 0u);
+}
+
 TEST(FirmwarePipeline, RxDrainsAndFreesSlots)
 {
     NicController nic(smallConfig());
-    nic.runRxOnly(300, 50 * tickPerMs);
+    nic.runFrames(0, 300, 50 * tickPerMs);
     const FwState &st = nic.firmwareState();
     EXPECT_EQ(st.rxCommitted, 300u);
     EXPECT_EQ(st.rxSlotsFreed, 300u);
@@ -107,7 +133,7 @@ TEST(FirmwarePipeline, RxDrainsAndFreesSlots)
 TEST(FirmwareOrdering, StatusFlagsAllClearedAfterDrain)
 {
     NicController nic(smallConfig());
-    nic.runTxOnly(500, 50 * tickPerMs);
+    nic.runFrames(500, 0, 50 * tickPerMs);
     const FwState &st = nic.firmwareState();
     auto &storage = nic.scratchpad().storage();
     for (unsigned w = 0; w < st.flagBits / 32; ++w) {
@@ -173,7 +199,7 @@ TEST(FirmwareOrdering, IdealModeRecordsNoOverheadBuckets)
 TEST(FirmwareBatching, BdFetchesAreBatched)
 {
     NicController nic(smallConfig());
-    nic.runTxOnly(320, 50 * tickPerMs);
+    nic.runFrames(320, 0, 50 * tickPerMs);
     const FwState &st = nic.firmwareState();
     // 320 frames = 640 BDs; batches of up to 32 BDs -> at least 20
     // fetch DMAs, but far fewer than one per frame.
@@ -186,7 +212,7 @@ TEST(EventRegisterFirmware, SerializesTypesButStaysCorrect)
     NicConfig cfg = smallConfig();
     cfg.taskLevelFirmware = true;
     NicController nic(cfg);
-    nic.runTxOnly(200, 50 * tickPerMs);
+    nic.runFrames(200, 0, 50 * tickPerMs);
     EXPECT_EQ(nic.txFlowSink().framesReceived(), 200u);
     EXPECT_EQ(nic.txFlowSink().errors(), 0u);
 }
@@ -216,7 +242,7 @@ TEST(DeferredSegmentation, TsoDeliversEverySegmentInOrder)
     NicConfig cfg = smallConfig();
     cfg.firmware.tsoSegments = 8;
     NicController nic(cfg);
-    nic.runTxOnly(160, 50 * tickPerMs);
+    nic.runFrames(160, 0, 50 * tickPerMs);
     EXPECT_EQ(nic.txFlowSink().framesReceived(), 160u);
     EXPECT_EQ(nic.txFlowSink().errors(), 0u);
     EXPECT_EQ(nic.deviceDriver().txFramesConsumed(), 160u);
@@ -268,7 +294,7 @@ idleScanCost(NicConfig cfg)
 {
     cfg.rxOfferedRate = 0.0001; // first frame lands ~12 ms out
     NicController nic(cfg);
-    NicResults r = nic.runRxOnly(1, tickPerMs / 4);
+    NicResults r = nic.runFrames(0, 1, tickPerMs / 4);
     EXPECT_EQ(r.rxFrames, 0u);
     double polls = static_cast<double>(r.coreTotals.idlePolls);
     double instr =

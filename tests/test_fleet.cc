@@ -377,8 +377,8 @@ TEST(Fleet, BarrierFatalErrorReachesTheCallerOnAnyThreadCount)
 
 TEST(Fleet, IsolatedNodeMatchesStandaloneController)
 {
-    // topology None: the windowed parallel engine must reproduce the
-    // classic single-instance runWindow() path bit-for-bit.
+    // topology None: the windowed parallel engine must reproduce a
+    // single instance's run() bit-for-bit.
     FleetConfig fc = smallFleet(2, 2, false);
     FleetRunner fleet(fc);
     FleetResults res = fleet.run();

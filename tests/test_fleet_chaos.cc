@@ -304,7 +304,7 @@ TEST(PacedTx, ConfigGuards)
     cfg.txPaceRate = 0.5;
     cfg.txTraffic = TrafficProfile{};
     EXPECT_THROW(NicController{cfg}, FatalError);
-    // Quiescing a backlogged (unpaced) source is a contract violation.
+    // Quiescing an unpaced source is a contract violation.
     NicConfig plain = chaosNodeTemplate();
     plain.txPaceRate = 0.0;
     NicController nc(plain);
@@ -371,6 +371,24 @@ TEST(FleetChaosRun, NodeStallsAreDetectedAndSurvived)
     FleetResults r = fleet.run();
     EXPECT_GT(stat(fleet, "switch.chaos.node_stall_episodes"), 0.0);
     EXPECT_GT(stat(fleet, "health.heartbeat_misses"), 0.0);
+    EXPECT_EQ(r.errors, 0u);
+    EXPECT_EQ(sumGaps(r), 0u);
+    EXPECT_EQ(stat(fleet, "reliable.rx_buffered"), 0.0);
+}
+
+TEST(FleetChaosRun, OneMicrosecondNodeStallsAreSurvived)
+{
+    // Stalls shorter than a firmware invocation thaw cores that are
+    // still replaying the invocation they froze in.
+    FleetConfig fc = chaosFleet();
+    fc.fabricFaults.nodeStallRate = 0.1;
+    fc.fabricFaults.nodeStallTicks = 1 * usT;
+    fc.fabricFaults.stormStart = 20 * usT;
+    fc.fabricFaults.stormEnd = 120 * usT;
+    fc.reliable.enabled = true;
+    FleetRunner fleet(fc);
+    FleetResults r = fleet.run();
+    EXPECT_GT(stat(fleet, "switch.chaos.node_stall_episodes"), 0.0);
     EXPECT_EQ(r.errors, 0u);
     EXPECT_EQ(sumGaps(r), 0u);
     EXPECT_EQ(stat(fleet, "reliable.rx_buffered"), 0.0);

@@ -72,7 +72,7 @@ constexpr Golden goldens[] = {
      0x6554f9d4a0738de9ull},
     {"FleetRing", 0x1222d16764a8d935ull, 0x5b1918f4d6e191dfull,
      0x95d8032d54da1bb8ull},
-    {"QuietReceive", 0xab97c55beb60635eull, 0xd4147da20afa1fb4ull,
+    {"QuietReceive", 0x20a0f17f77b7e409ull, 0xd4147da20afa1fb4ull,
      0x5a9e2c7027671c47ull},
     {"TsoDuplex", 0x1668a05526d89aa6ull, 0xd8b4ba660fb90e1full,
      0xad4b2bdeda677831ull},
@@ -377,7 +377,7 @@ TEST(Golden, QuietReceive)
     cfg.cpuMhz = 200.0;
     cfg.rxOfferedRate = 0.02;
     runShape("QuietReceive", cfg, [](NicController &nic) {
-        return nic.runRxOnly(20, 4 * tickPerMs);
+        return nic.runFrames(0, 20, 4 * tickPerMs);
     });
 }
 

@@ -85,7 +85,7 @@ TEST(NicTxPath, DeliversAllFramesInOrderWithIntactPayloads)
 {
     NicConfig cfg = baseConfig();
     NicController nic(cfg);
-    nic.runTxOnly(500, 20 * tickPerMs);
+    nic.runFrames(500, 0, 20 * tickPerMs);
 
     EXPECT_EQ(nic.txFlowSink().framesReceived(), 500u);
     EXPECT_EQ(nic.txFlowSink().errors(), 0u);
@@ -96,7 +96,7 @@ TEST(NicRxPath, DeliversAllFramesInOrderWithIntactPayloads)
 {
     NicConfig cfg = baseConfig();
     NicController nic(cfg);
-    nic.runRxOnly(500, 20 * tickPerMs);
+    nic.runFrames(0, 500, 20 * tickPerMs);
 
     EXPECT_EQ(nic.deviceDriver().rxFramesDelivered(), 500u);
     EXPECT_EQ(nic.rxFlowSink().errors(), 0u);
@@ -145,12 +145,32 @@ TEST(NicDuplex, SingleCoreIsComputeBound)
     EXPECT_GT(r.totalUdpGbps, 0.5);  // but it does make progress
 }
 
+TEST(NicLifecycle, ThawDuringALiveInvocationKeepsOneReplayChain)
+{
+    // A one-cycle freeze lands while every core is mid-invocation:
+    // the thaw must resume each core's live replay, not fork a second
+    // one beside it.
+    NicController nic(baseConfig());
+    EventQueue &eq = nic.eventQueue();
+    nic.startRun();
+    eq.runUntil(100 * tickPerUs);
+    nic.freezeCores();
+    eq.schedule(eq.curTick() + 5 * tickPerNs, [&nic] { nic.thawCores(); });
+    EXPECT_NO_THROW(eq.runUntil(300 * tickPerUs));
+    nic.beginMeasurement();
+    eq.runUntil(800 * tickPerUs);
+    NicResults r = nic.endMeasurement();
+    nic.stopRun();
+    EXPECT_EQ(r.errors, 0u);
+    EXPECT_GT(r.totalUdpGbps, 18.0);
+}
+
 TEST(NicStatTree, CoversEveryComponent)
 {
     NicConfig cfg = baseConfig();
     cfg.cores = 2;
     NicController nic(cfg);
-    nic.runTxOnly(100, 20 * tickPerMs);
+    nic.runFrames(100, 0, 20 * tickPerMs);
     const obs::StatGroup &t = nic.statTree();
     EXPECT_TRUE(t.has("core0.instructions"));
     EXPECT_TRUE(t.has("core1.ipc"));

@@ -53,7 +53,7 @@ TEST_P(NicSweep, TxDeliversExactlyOnceInOrder)
     cfg.txPayloadBytes = p.payload;
     cfg.rxPayloadBytes = p.payload;
     NicController nic(cfg);
-    nic.runTxOnly(150, 100 * tickPerMs);
+    nic.runFrames(150, 0, 100 * tickPerMs);
 
     EXPECT_EQ(nic.txFlowSink().framesReceived(), 150u);
     EXPECT_EQ(nic.txFlowSink().errors(), 0u);
@@ -76,7 +76,7 @@ TEST_P(NicSweep, RxDeliversInOrderWithIntactPayloads)
     if (p.payload < 500)
         cfg.rxOfferedRate = 0.05;
     NicController nic(cfg);
-    nic.runRxOnly(150, 100 * tickPerMs);
+    nic.runFrames(0, 150, 100 * tickPerMs);
 
     EXPECT_EQ(nic.deviceDriver().rxFramesDelivered(), 150u);
     EXPECT_EQ(nic.rxFlowSink().errors(), 0u);
