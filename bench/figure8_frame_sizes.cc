@@ -30,8 +30,8 @@ runPoint(unsigned payload, bool rmw)
     cfg.cores = 6;
     cfg.cpuMhz = rmw ? 166.0 : 200.0;
     cfg.firmware.rmwEnhanced = rmw;
-    cfg.txPayloadBytes = payload;
-    cfg.rxPayloadBytes = payload;
+    cfg.txTraffic = TrafficProfile::paper(payload);
+    cfg.rxTraffic = cfg.txTraffic;
     NicController nic(cfg);
     return nic.run(warmupTicks, measureTicks);
 }

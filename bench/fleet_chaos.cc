@@ -72,6 +72,7 @@ chaosNode()
     // leaving the switch egress ports zero headroom to ever drain a
     // retransmission backlog.
     cfg.txPaceRate = 0.6;
+    cfg.rxTraffic = TrafficProfile{};
     return cfg;
 }
 

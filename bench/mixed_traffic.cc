@@ -95,8 +95,8 @@ runFixed(unsigned payload)
     NicConfig cfg;
     cfg.cores = 6;
     cfg.cpuMhz = 200.0;
-    cfg.txPayloadBytes = payload;
-    cfg.rxPayloadBytes = payload;
+    cfg.txTraffic = TrafficProfile::paper(payload);
+    cfg.rxTraffic = cfg.txTraffic;
     NicController nic(cfg);
     return nic.run(tickPerMs, measureWindow());
 }

@@ -93,6 +93,9 @@ vnicBase()
     // ring contents instead of steady-state arbitration.  128 frames
     // (~150 us residence) reaches steady state well inside warmup.
     cfg.sendRingFrames = 128;
+    // The VFs own the workload.
+    cfg.txTraffic = TrafficProfile{};
+    cfg.rxTraffic = TrafficProfile{};
     return cfg;
 }
 
@@ -153,9 +156,9 @@ struct VfCounts
 {
     double txPosted = 0;
     double txFrames = 0;
-    double txPayloadBytes = 0;
+    double txPayload = 0;
     double rxFrames = 0;
-    double rxPayloadBytes = 0;
+    double rxPayload = 0;
 };
 
 /** Per-VF delivered-goodput deltas over the measurement window. */
@@ -182,7 +185,7 @@ struct VfWindow
     txGbps(unsigned vf, Tick measure) const
     {
         double secs = static_cast<double>(measure) / tickPerSec;
-        return (end[vf].txPayloadBytes - start[vf].txPayloadBytes) *
+        return (end[vf].txPayload - start[vf].txPayload) *
                8.0 / secs / 1e9;
     }
 
@@ -190,7 +193,7 @@ struct VfWindow
     rxGbps(unsigned vf, Tick measure) const
     {
         double secs = static_cast<double>(measure) / tickPerSec;
-        return (end[vf].rxPayloadBytes - start[vf].rxPayloadBytes) *
+        return (end[vf].rxPayload - start[vf].rxPayload) *
                8.0 / secs / 1e9;
     }
 };
@@ -206,9 +209,9 @@ snapshot(NicController &nic)
         VfCounts c;
         c.txPosted = t.value(p + ".tx.posted");
         c.txFrames = t.value(p + ".tx.frames");
-        c.txPayloadBytes = t.value(p + ".tx.payloadBytes");
+        c.txPayload = t.value(p + ".tx.payloadBytes");
         c.rxFrames = t.value(p + ".rx.frames");
-        c.rxPayloadBytes = t.value(p + ".rx.payloadBytes");
+        c.rxPayload = t.value(p + ".rx.payloadBytes");
         out.push_back(c);
     }
     return out;

@@ -34,7 +34,7 @@ measure(double mhz, double load)
     cfg.cores = 6;
     cfg.cpuMhz = mhz;
     cfg.firmware.rmwEnhanced = true;
-    cfg.rxOfferedRate = load;
+    cfg.rxTraffic.offeredRate = load;
     // Thin the transmit stream by shrinking the backlog window: use a
     // smaller ring so the sender idles between bursts at low load.
     if (load < 1.0)

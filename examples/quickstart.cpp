@@ -22,10 +22,10 @@ main(int argc, char **argv)
     cfg.cores = argc > 1 ? static_cast<unsigned>(std::atoi(argv[1])) : 6;
     cfg.cpuMhz = argc > 2 ? std::atof(argv[2]) : 200.0;
     cfg.firmware.rmwEnhanced = argc > 3 && std::atoi(argv[3]) != 0;
-    if (argc > 4) {
-        cfg.txPayloadBytes = static_cast<unsigned>(std::atoi(argv[4]));
-        cfg.rxPayloadBytes = cfg.txPayloadBytes;
-    }
+    unsigned payload = argc > 4 ? static_cast<unsigned>(std::atoi(argv[4]))
+                                : udpMaxPayloadBytes;
+    cfg.txTraffic = TrafficProfile::paper(payload);
+    cfg.rxTraffic = cfg.txTraffic;
     cfg.taskLevelFirmware = argc > 5 && std::atoi(argv[5]) != 0;
 
     std::cout << "tengig-nic quickstart: " << cfg.cores << " cores @ "
@@ -34,13 +34,13 @@ main(int argc, char **argv)
                                            : "software-only")
               << " ordering, "
               << (cfg.taskLevelFirmware ? "task-level" : "frame-level")
-              << " firmware, " << cfg.txPayloadBytes
+              << " firmware, " << payload
               << "B UDP payloads\n";
 
     NicController nic(cfg);
     NicResults r = nic.run(2 * tickPerMs, 4 * tickPerMs);
 
-    double limit = 2 * lineRateUdpGbps(cfg.txPayloadBytes);
+    double limit = 2 * lineRateUdpGbps(payload);
     std::cout << std::fixed << std::setprecision(2)
               << "  duplex UDP throughput : " << r.totalUdpGbps
               << " Gb/s (Ethernet limit " << limit << ")\n"

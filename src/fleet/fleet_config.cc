@@ -58,9 +58,7 @@ FleetConfig::validate() const
                      "posting (node ", i, " has txPaceRate ",
                      nodes[i].txPaceRate, "): a "
                      "wire-saturating source leaves the fabric no "
-                     "headroom to drain retransmissions, and the "
-                     "end-of-run drain phase needs a quiescable "
-                     "source");
+                     "headroom to drain retransmissions");
     }
 
     if (topology == FleetTopology::None)
@@ -78,18 +76,12 @@ FleetConfig::validate() const
              "only arrive in a later one");
 
     // Every validator that terminates forwarded frames keys on global
-    // flow ids, so all enabled profiles across the fleet must occupy
-    // disjoint id ranges.
+    // flow ids, so all profiles across the fleet must occupy disjoint
+    // id ranges.  Nodes left on the default profiles (flow 0 each way)
+    // fail here.
     std::vector<std::pair<std::uint32_t, std::uint32_t>> ranges;
     for (std::size_t i = 0; i < nodes.size(); ++i) {
         const NicConfig &n = nodes[i];
-        fatal_if(!n.externalWire, "fleet forwarding needs externalWire "
-                 "set on every node (node ", i, ")");
-        fatal_if(!n.txTraffic.enabled(), "fleet forwarding needs an "
-                 "enabled txTraffic profile on every node (node ", i,
-                 "): the default one-flow workload is flow 0 on every "
-                 "node, which would alias across sources at the "
-                 "destination validator");
         fatal_if(!n.vfs.empty(), "fleet forwarding with per-node VFs is "
                  "unsupported: the vnic mux numbers its flow ranges "
                  "from 0 on every node (node ", i, ")");
@@ -116,9 +108,6 @@ FleetConfig
 FleetConfig::uniform(const NicConfig &base, unsigned count, bool forward)
 {
     fatal_if(count == 0, "fleet needs at least one node");
-    fatal_if(forward && !base.txTraffic.enabled(),
-             "FleetConfig::uniform with forwarding needs a template "
-             "txTraffic profile (see validate())");
 
     FleetConfig fc;
     fc.topology = forward ? FleetTopology::Ring : FleetTopology::None;
@@ -130,8 +119,7 @@ FleetConfig::uniform(const NicConfig &base, unsigned count, bool forward)
         // (fleet seed, node, direction) like every other seeded site.
         std::uint64_t sm =
             fc.fleetSeed + 0x9e3779b97f4a7c15ULL * (i + 1);
-        if (n.txTraffic.enabled())
-            n.txTraffic.seed = splitmix64(sm);
+        n.txTraffic.seed = splitmix64(sm);
         if (n.rxTraffic.enabled())
             n.rxTraffic.seed = splitmix64(sm);
         // Per-node fault streams: FaultClock derives a site's stream
@@ -143,7 +131,6 @@ FleetConfig::uniform(const NicConfig &base, unsigned count, bool forward)
         // disabled (the seed is never read).
         n.faults.seed = splitmix64(sm);
         if (forward) {
-            n.externalWire = true;
             n.txTraffic.flowIdBase = nextBase;
             nextBase += static_cast<std::uint32_t>(n.txTraffic.flows.size());
             if (n.rxTraffic.enabled()) {

@@ -171,13 +171,12 @@ struct FleetConfig
 
     /**
      * Build an M-node fleet from one template config.  Each node gets
-     * a splitmix64-derived private traffic seed per direction and --
-     * when @p forward is set -- externalWire plus a disjoint global
-     * flow-id range, so frames forwarded across the switch never
-     * collide with any destination's own flows.  Forwarding requires
-     * the template to carry an enabled txTraffic profile (the default
-     * one-flow workload is flow 0 on every node and would alias at the
-     * destination validator).
+     * a splitmix64-derived private seed for its transmit profile, for
+     * a receive profile with flows, and for its fault plan, in that
+     * order.  When @p forward is set, each node's profiles also get a
+     * disjoint global flow-id range, so frames forwarded across the
+     * switch never collide with any destination's own flows.  A node
+     * with an empty rxTraffic receives only what its peers forward.
      */
     static FleetConfig uniform(const NicConfig &base, unsigned count,
                                bool forward = true);

@@ -191,8 +191,6 @@ DeviceDriver::rxCompletion(Addr host_buf, std::uint32_t len)
         v.desc = &*desc;
     else
         v.bytes = host.bytesFor(host_buf, len);
-    if (rxObserver)
-        rxObserver(v);
     if (rxDeliver)
         rxDeliver(v);
 

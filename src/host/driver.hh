@@ -144,24 +144,14 @@ class DeviceDriver
 
     /**
      * Hand every delivered receive frame (header + payload) to its
-     * validator, e.g. a per-flow FlowSink.  Clean frames arrive as
-     * descriptor-backed views (O(1) validation).
+     * consumer: a per-flow FlowSink, plus whatever bookkeeping the
+     * owner does per delivery (NicController's latency tap).  Clean
+     * frames arrive as descriptor-backed views (O(1) validation).
      */
     void
     onRxDeliver(std::function<void(const FrameView &)> fn)
     {
         rxDeliver = std::move(fn);
-    }
-
-    /**
-     * Passive tap fired for every delivered receive frame, before the
-     * delivery hook above.  Used by observability (latency
-     * bookkeeping).
-     */
-    void
-    onRxDelivered(std::function<void(const FrameView &)> fn)
-    {
-        rxObserver = std::move(fn);
     }
 
     /// @name Workload statistics
@@ -222,7 +212,6 @@ class DeviceDriver
     std::uint64_t rxBuffersReturned = 0;
     std::function<void(std::uint64_t)> recvDoorbell;
     std::function<void(const FrameView &)> rxDeliver;
-    std::function<void(const FrameView &)> rxObserver;
 
     stats::Counter rxDelivered;
     stats::Counter rxFaultDrops;

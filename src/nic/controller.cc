@@ -8,9 +8,10 @@ namespace tengig {
 
 namespace {
 
-/** A frame generator that never generates: vnic runs where no VF has
- *  receive traffic, and fleet nodes whose every arrival comes from
- *  peers, still own a source for the shared stat plumbing. */
+/** A frame generator that never generates: the receive source of a
+ *  NIC whose rxTraffic is empty (a fleet node whose every arrival comes
+ *  from its peers, or a vnic run where no VF has receive traffic), so
+ *  the shared stat plumbing still has a source. */
 class IdleGenerator : public FrameGenerator
 {
   public:
@@ -20,15 +21,6 @@ class IdleGenerator : public FrameGenerator
     std::uint64_t framesOffered() const override { return 0; }
     std::uint64_t framesDropped() const override { return 0; }
 };
-
-/** The paper workload in one direction: flow 0, fixed-size, paced. */
-TrafficProfile
-paperFlow(unsigned payload_bytes, double rate)
-{
-    return TrafficProfile::uniform(1, SizeModel::fixed(payload_bytes),
-                                   ArrivalModel::paced(), rate,
-                                   TrafficProfile{}.seed);
-}
 
 } // namespace
 
@@ -88,22 +80,6 @@ NicController::build()
             std::vector<FaultPlan>{cfg.faults}, eq);
     }
 
-    // The workload, one profile per direction.  An empty profile is the
-    // paper's: one fixed-size paced flow (flow 0) from txPayloadBytes,
-    // or rxPayloadBytes at rxOfferedRate.  vnic runs merge the per-VF
-    // profiles instead, and a fleet node with no local receive profile
-    // gets every arrival from its peers.
-    TrafficProfile txProfile = cfg.txTraffic;
-    TrafficProfile rxProfile = cfg.rxTraffic;
-    if (vnicOn()) {
-        rxProfile = VnicMux::mergedRxProfile(cfg.vfs);
-    } else {
-        if (!txProfile.enabled())
-            txProfile = paperFlow(cfg.txPayloadBytes, 1.0);
-        if (!rxProfile.enabled() && !cfg.externalWire)
-            rxProfile = paperFlow(cfg.rxPayloadBytes, cfg.rxOfferedRate);
-    }
-
     DeviceDriver::Config dc;
     dc.sendRingFrames = cfg.sendRingFrames;
     dc.recvPoolBuffers = NicConfig::recvPoolBuffers;
@@ -115,7 +91,7 @@ NicController::build()
             return vnic->nextTxFrame(seq);
         };
     } else {
-        txSched = std::make_unique<TxSchedule>(txProfile);
+        txSched = std::make_unique<TxSchedule>(cfg.txTraffic);
         if (cfg.txPaceRate > 0.0) {
             // Pull-mode metered posting: a frame becomes eligible only
             // when its wire time at the paced rate has elapsed since
@@ -151,31 +127,25 @@ NicController::build()
         }
     }
     driver = std::make_unique<DeviceDriver>(*hostMem, dc);
-    if (vnicOn()) {
-        // Throttled posting resumes when a bucket refills or a lost
-        // tenant doorbell is finally redelivered.
+    // Throttled vnic posting resumes when a bucket refills or a lost
+    // tenant doorbell is finally redelivered.
+    if (vnicOn())
         vnic->setOnTxEligible([this] { driver->resumeSend(); });
-        driver->onRxDeliver([this](const FrameView &v) {
-            rxFlow.deliver(v);
-            vnic->noteRxDelivered(v);
-        });
-    } else {
-        driver->onRxDeliver(
-            [this](const FrameView &v) { rxFlow.deliver(v); });
-    }
-    // Latency tap: close out the per-frame arrival timestamps taken in
-    // rxArrived().  Observes delivery; validation is untouched.
-    driver->onRxDelivered([this](const FrameView &v) {
+    driver->onRxDeliver([this](const FrameView &v) {
+        // Close the arrival timestamp taken in rxArrived(), then
+        // validate the frame and attribute it to its VF.
         std::uint32_t seq = 0, flow = 0;
-        if (!peekFrameView(v, seq, flow))
-            return;
-        std::uint64_t key = (static_cast<std::uint64_t>(flow) << 32) |
-            seq;
-        auto it = rxInFlight.find(key);
-        if (it == rxInFlight.end())
-            return;
-        rxLatencyHist.sample(eq.curTick() - it->second);
-        rxInFlight.erase(it);
+        if (peekFrameView(v, seq, flow)) {
+            auto it = rxInFlight.find(
+                (static_cast<std::uint64_t>(flow) << 32) | seq);
+            if (it != rxInFlight.end()) {
+                rxLatencyHist.sample(eq.curTick() - it->second);
+                rxInFlight.erase(it);
+            }
+        }
+        rxFlow.deliver(v);
+        if (vnic)
+            vnic->noteRxDelivered(v);
     });
 
     // Crossbar requester ids: cores 0..P-1, then the four assists.
@@ -232,10 +202,13 @@ NicController::build()
         [this](unsigned len) { return tasks->allocRxSlot(len); },
         [this](const MacRx::StoredFrame &sf) { tasks->rxFrameStored(sf); });
 
-    // On vnic runs one serialized wire carries every tenant's
-    // arrivals; the merged profile reproduces each flow's solo rate
-    // exactly (VnicMux::mergedRxProfile).  With no receive profile, an
-    // idle generator keeps the plumbing uniform.
+    // The receive wire: cfg.rxTraffic, or on vnic runs one serialized
+    // wire carrying every tenant's arrivals, whose merged profile
+    // reproduces each flow's solo rate exactly
+    // (VnicMux::mergedRxProfile).  With no receive flows, an idle
+    // generator keeps the plumbing uniform.
+    const TrafficProfile rxProfile =
+        vnicOn() ? VnicMux::mergedRxProfile(cfg.vfs) : cfg.rxTraffic;
     if (rxProfile.enabled()) {
         auto engine = std::make_unique<TrafficEngine>(
             eq, rxProfile, [this](FrameData &&fd) {
@@ -621,9 +594,6 @@ NicController::thawCores()
 void
 NicController::quiesceTx()
 {
-    fatal_if(cfg.txPaceRate <= 0.0,
-             "quiesceTx needs paced posting (cfg.txPaceRate), as the "
-             "reliable drain phase it serves does");
     driver->stopSend();
 }
 
@@ -803,9 +773,13 @@ NicController::runFrames(std::uint64_t tx_frames, std::uint64_t rx_frames,
     startRun(tx_frames, rx_frames);
     beginMeasurement();
     const Tick step = 100 * tickPerUs;
+    auto rxAccounted = [this] {
+        return driver->rxFramesDelivered() + source->framesDropped() +
+            driver->rxFaultDropCount();
+    };
     while (eq.curTick() < limit &&
            (driver->txFramesConsumed() < tx_frames ||
-            driver->rxFramesDelivered() < rx_frames)) {
+            rxAccounted() < rx_frames)) {
         eq.runUntil(eq.curTick() + step);
         checkLiveness();
     }

@@ -136,8 +136,11 @@ class NicController
     /**
      * A finite workload, measured from the current tick (0 on a fresh
      * NIC): run in 100 µs steps until the host has consumed
-     * @p tx_frames and been delivered @p rx_frames, or @p limit
-     * passes.  A 0 count leaves that direction idle (startRun()).
+     * @p tx_frames and every one of @p rx_frames offered frames is
+     * accounted for, or @p limit passes.  An offered frame counts once
+     * delivered, refused (the generator's framesDropped()), or recycled
+     * as a zero-length fault completion.  A 0 count leaves that
+     * direction idle (startRun()).
      */
     NicResults runFrames(std::uint64_t tx_frames, std::uint64_t rx_frames,
                          Tick limit);
@@ -169,10 +172,10 @@ class NicController
     std::string pipelineReport() const;
 
     /**
-     * Permanently stop paced transmit posting (cfg.txPaceRate): the
-     * driver's budget is capped at the frames already posted.  The
-     * fleet drain phase quiesces sources so in-flight reliable
-     * deliveries can settle against a finite workload.
+     * Permanently stop transmit posting: the driver's budget is capped
+     * at the frames already posted.  The fleet drain phase quiesces
+     * sources so in-flight reliable deliveries can settle against a
+     * finite workload.
      */
     void quiesceTx();
     /// @}
@@ -235,8 +238,8 @@ class NicController
     FlowSink &rxFlowSink() { return rxFlow; }
 
     /** The rx generator: attach a TraceRecorder before startRun().
-     *  Null with no receive profile (an idle vnic or fleet node) and
-     *  after useRxTrace(). */
+     *  Null with no receive flows (an empty rxTraffic, or a vnic run
+     *  without receive VFs) and after useRxTrace(). */
     TrafficEngine *rxTrafficEngine() { return rxEngine; }
 
     FrameGenerator &frameGenerator() { return *source; }

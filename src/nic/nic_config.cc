@@ -1,5 +1,7 @@
 #include "nic/nic_config.hh"
 
+#include <string>
+
 #include "sim/logging.hh"
 
 namespace tengig {
@@ -37,24 +39,43 @@ NicConfig::validate() const
     fatal_if(sendRingFrames < 1, "sendRingFrames must be >= 1, got ",
              sendRingFrames);
 
-    if (!vfs.empty()) {
+    if (vfs.empty()) {
+        fatal_if(!txTraffic.enabled(), "txTraffic has no flows: a NIC "
+                 "without VFs posts from its transmit profile");
+        txTraffic.validate();
+        if (rxTraffic.enabled())
+            rxTraffic.validate();
+    } else {
         fatal_if(txTraffic.enabled() || rxTraffic.enabled(),
                  "vnic runs own the workload: per-VF profiles replace "
-                 "cfg.txTraffic/cfg.rxTraffic");
+                 "cfg.txTraffic/cfg.rxTraffic, which must be empty");
         fatal_if(faults.enabled(),
                  "vnic runs use per-VF fault plans, not cfg.faults");
         fatal_if(firmware.tsoSegments != 1,
                  "vnic runs are incompatible with TSO");
+        for (std::size_t i = 0; i < vfs.size(); ++i) {
+            try {
+                vfs[i].validate();
+            } catch (const FatalError &e) {
+                fatalWithContext(e, "vfs[" + std::to_string(i) + "]");
+            }
+        }
     }
     fatal_if(!(txPaceRate >= 0.0 && txPaceRate <= 1.0),
              "txPaceRate must be a fraction of line rate in [0, 1] "
              "(0 = unpaced), got ", txPaceRate);
-    fatal_if(txPaceRate > 0.0 && (!vfs.empty() || !txTraffic.enabled()),
-             "txPaceRate requires a txTraffic profile (vnic runs pace "
-             "through per-VF admission buckets instead)");
-    fatal_if(firmware.tsoSegments != 1 && txTraffic.enabled(),
-             "TSO needs one payload size per group: it runs the default "
-             "fixed-size transmit workload, not a txTraffic profile");
+    fatal_if(txPaceRate > 0.0 && !vfs.empty(),
+             "txPaceRate must be 0 on vnic runs: they pace through "
+             "per-VF admission buckets");
+    if (firmware.tsoSegments != 1) {
+        fatal_if(txTraffic.flows.size() != 1 ||
+                     txTraffic.flows[0].size.kind != SizeModel::Kind::Fixed,
+                 "TSO needs one payload size per group: txTraffic must "
+                 "be one fixed-size flow");
+        fatal_if(txPaceRate > 0.0, "TSO needs an unpaced source "
+                 "(txPaceRate 0): a paced one could decline a later "
+                 "frame of a group");
+    }
     fatal_if(taskLevelFirmware && firmware.idealMode,
              "task-level firmware has no ideal mode");
 }

@@ -4,8 +4,9 @@
  *
  * The settable fields are what the paper's experiments vary (Figs. 7/8,
  * Tables 3-6) -- core count and clock, scratchpad banks, firmware
- * organization and frame ordering, frame size -- plus the workload,
- * fault, fleet and virtualization settings of the extensions.  The
+ * organization and frame ordering, and the traffic profiles that set
+ * the frame size -- plus the fault and virtualization settings of the
+ * extensions.  The
  * rest of the Fig. 6 design is fixed and named here as constants: a
  * 256 KB scratchpad, 8 KB 2-way I-caches with 32 B lines, a 500 MHz
  * bus to an 8 MB GDDR SDRAM, 64-entry DMA and MAC transmit FIFOs and
@@ -71,62 +72,44 @@ struct NicConfig
     FaultPlan faults;
 
     /// @name Workload
-    /// The paper's workload by default: one fixed-size paced flow
-    /// (flow 0) each way, sized by txPayloadBytes and rxPayloadBytes
-    /// ([18, 1472]), the receive one offered at rxOfferedRate.
     /// @{
-    unsigned txPayloadBytes = udpMaxPayloadBytes;
-    unsigned rxPayloadBytes = udpMaxPayloadBytes;
-    double rxOfferedRate = 1.0;     //!< fraction of line rate
     unsigned sendRingFrames = 1024;
     static constexpr unsigned recvPoolBuffers = 1024;
 
     /**
-     * Multi-flow workloads (src/traffic).  An enabled profile replaces
-     * the fixed-size flow of its direction: rxTraffic drives the
-     * receive MAC through a TrafficEngine, and txTraffic makes the
-     * host driver post the mixed-size flow-tagged send frames of a
-     * TxSchedule.  Either way a per-flow FlowSink validates each
-     * direction.  TSO (firmware.tsoSegments > 1) needs the fixed-size
-     * transmit flow, so it rejects a txTraffic profile.
+     * One profile per direction (src/traffic), the paper's stream by
+     * default: rxTraffic drives the receive MAC through a
+     * TrafficEngine, and txTraffic makes the host driver post the
+     * flow-tagged send frames of a TxSchedule.  A per-flow FlowSink
+     * validates each direction.  An empty profile offers no traffic: an
+     * empty rxTraffic idles the receive wire (a fleet node then receives
+     * only what its peers forward), and txTraffic may be empty only on
+     * a vnic run.  TSO (firmware.tsoSegments > 1) needs txTraffic to be
+     * one fixed-size flow.
      */
-    TrafficProfile rxTraffic;
-    TrafficProfile txTraffic;
+    TrafficProfile rxTraffic = TrafficProfile::paper();
+    TrafficProfile txTraffic = TrafficProfile::paper();
 
     /**
      * When nonzero, meter host send-descriptor posting to this
      * fraction of 10 Gb/s line rate (measured in wire time) instead
      * of keeping the send ring full.  Must lie in [0, 1] (NaN
-     * is fatal, not unpaced).  Requires txTraffic; the transmit wire
-     * then carries the profile's intended offered load rather than
-     * saturating -- fleets that must recover from fabric faults need
-     * this headroom, because retransmissions into a wire-rate stream
-     * can only ratchet the switch egress FIFO.
+     * is fatal, not unpaced), and stay 0 on vnic and TSO runs.  The
+     * transmit wire then carries the profile's intended offered load
+     * rather than saturating -- fleets that must recover from fabric
+     * faults need this headroom, because retransmissions into a
+     * wire-rate stream can only ratchet the switch egress FIFO.
      */
     double txPaceRate = 0.0;
     /// @}
-
-    /**
-     * Scale-out fleet participation (src/fleet, DESIGN.md §15).  When
-     * set, this NIC's wire is connected to an external peer (the fleet
-     * switch) instead of being a closed loop: frames may arrive that
-     * no local generator produced, and with no local rxTraffic
-     * configured the controller installs an idle generator instead of
-     * the fixed-size receive flow.  Both directions are validated per
-     * flow as on any NIC, and the transmit stream is also handed to
-     * the wire tap (setWireTap) for forwarding.  Off by default:
-     * single-NIC runs are bit-identical to a build without the fleet
-     * subsystem.
-     */
-    bool externalWire = false;
 
     /**
      * SR-IOV-style virtualization (src/vnic, DESIGN.md §13).  Each
      * entry is one virtual function with its own traffic profiles,
      * DRR weight, rate contracts, and tenant-private fault plan; the
      * VnicMux arbitrates them over the shared datapath.  A vnic run
-     * owns the workload and fault configuration, so rxTraffic /
-     * txTraffic / faults must stay at their defaults.  Empty (the
+     * owns the workload and fault configuration, so rxTraffic and
+     * txTraffic must be empty and faults disabled.  Empty (the
      * default) means a single-function NIC with every vnic
      * hook structurally absent and runs bit-identical to a build
      * without the subsystem.

@@ -184,6 +184,13 @@ TrafficProfile::validate() const
 }
 
 TrafficProfile
+TrafficProfile::paper(unsigned payload_bytes)
+{
+    return uniform(1, SizeModel::fixed(payload_bytes), ArrivalModel::paced(),
+                   1.0, TrafficProfile{}.seed);
+}
+
+TrafficProfile
 TrafficProfile::uniform(unsigned nflows, const SizeModel &size,
                         const ArrivalModel &arrival, double rate,
                         std::uint64_t seed)

@@ -122,12 +122,15 @@ struct TrafficProfile
      */
     std::uint32_t flowIdBase = 0;
 
-    /** An empty profile selects the paper workload: NicController runs
-     *  one fixed-size paced flow (flow 0) from NicConfig's
-     *  txPayloadBytes, or rxPayloadBytes at rxOfferedRate. */
+    /** An empty profile offers no traffic. */
     bool enabled() const { return !flows.empty(); }
 
     void validate() const;
+
+    /** The paper's stream, NicConfig's default each way: one fixed-size
+     *  paced flow (flow 0) at line rate with the default seed.  Figure 8
+     *  sweeps its datagram size. */
+    static TrafficProfile paper(unsigned payload_bytes = udpMaxPayloadBytes);
 
     /** @p nflows identical flows. */
     static TrafficProfile uniform(unsigned nflows, const SizeModel &size,

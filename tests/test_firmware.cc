@@ -119,6 +119,22 @@ TEST(FirmwarePipeline, DuplexFiniteWorkDrainsBothDirections)
     EXPECT_EQ(st.macTxReserved, 0u);
 }
 
+TEST(FirmwarePipeline, FiniteRunEndsOnceEveryOfferedFrameIsAccounted)
+{
+    // Four cores shed a few duplex arrivals.  The run still ends once
+    // every offered frame is delivered or refused, long before its
+    // limit, instead of waiting for deliveries that cannot come.
+    NicController nic(smallConfig());
+    NicResults r = nic.runFrames(300, 300, 50 * tickPerMs);
+    EXPECT_EQ(r.txFrames, 300u);
+    EXPECT_GT(r.rxDropped, 0u);
+    EXPECT_EQ(nic.frameGenerator().framesOffered(),
+              r.rxFrames + r.rxDropped);
+    EXPECT_EQ(nic.frameGenerator().framesOffered(), 300u);
+    EXPECT_LT(r.measuredTicks, 5 * tickPerMs);
+    EXPECT_EQ(r.errors, 0u);
+}
+
 TEST(FirmwarePipeline, RxDrainsAndFreesSlots)
 {
     NicController nic(smallConfig());
@@ -292,7 +308,7 @@ namespace {
 double
 idleScanCost(NicConfig cfg)
 {
-    cfg.rxOfferedRate = 0.0001; // first frame lands ~12 ms out
+    cfg.rxTraffic.offeredRate = 0.0001; // first frame lands ~12 ms out
     NicController nic(cfg);
     NicResults r = nic.runFrames(0, 1, tickPerMs / 4);
     EXPECT_EQ(r.rxFrames, 0u);

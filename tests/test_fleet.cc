@@ -185,7 +185,6 @@ TEST(FleetConfigT, UniformAssignsDisjointFlowRangesAndPrivateSeeds)
     EXPECT_EQ(fc.topology, FleetTopology::Ring);
     std::uint32_t expect = 0;
     for (const NicConfig &n : fc.nodes) {
-        EXPECT_TRUE(n.externalWire);
         EXPECT_EQ(n.txTraffic.flowIdBase, expect);
         expect += 3;
         EXPECT_EQ(n.rxTraffic.flowIdBase, expect);
@@ -215,6 +214,21 @@ TEST(FleetConfigT, ValidateRejectsForwardingWithoutTxProfile)
     FleetConfig fc = smallFleet(2, 1, true);
     fc.nodes[0].txTraffic.flows.clear();
     EXPECT_THROW(fc.validate(), FatalError);
+}
+
+TEST(FleetConfigT, ValidateChecksEveryNodeProfile)
+{
+    FleetConfig fc = smallFleet(3, 1, true);
+    fc.nodes[1].rxTraffic.offeredRate = 0.0;
+    try {
+        fc.validate();
+        ADD_FAILURE() << "a zero offered rate must be fatal";
+    } catch (const FatalError &e) {
+        std::string what = e.what();
+        EXPECT_NE(what.find("node 1: offered rate must be in (0, 1]"),
+                  std::string::npos)
+            << what;
+    }
 }
 
 TEST(FleetConfigT, ValidateChecksEveryNodeConfig)

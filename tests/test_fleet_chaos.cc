@@ -33,6 +33,7 @@ chaosNodeTemplate()
     cfg.txTraffic = TrafficProfile::uniform(
         2, SizeModel::fixed(1472), ArrivalModel::paced(), 0.5, 0xc4a05);
     cfg.txPaceRate = 0.5;
+    cfg.rxTraffic = TrafficProfile{};
     return cfg;
 }
 
@@ -274,6 +275,7 @@ TEST(FleetHealth, HeartbeatMissCountsBusyNodeWithFrozenRetireClock)
 TEST(PacedTx, MetersPostingToConfiguredFraction)
 {
     NicConfig cfg = chaosNodeTemplate();
+    cfg.rxTraffic = TrafficProfile::paper(); // under duplex load
     NicController nc(cfg);
     NicResults r = nc.run(100 * usT, 400 * usT);
     // 0.5 of line rate: 1472 B UDP payload over 1538 wire bytes at
@@ -285,6 +287,7 @@ TEST(PacedTx, MetersPostingToConfiguredFraction)
 TEST(PacedTx, UnpacedRingStaysBacklogged)
 {
     NicConfig cfg = chaosNodeTemplate();
+    cfg.rxTraffic = TrafficProfile::paper(); // under duplex load
     cfg.txPaceRate = 0.0;
     NicController nc(cfg);
     NicResults r = nc.run(100 * usT, 400 * usT);
@@ -304,11 +307,35 @@ TEST(PacedTx, ConfigGuards)
     cfg.txPaceRate = 0.5;
     cfg.txTraffic = TrafficProfile{};
     EXPECT_THROW(NicController{cfg}, FatalError);
-    // Quiescing an unpaced source is a contract violation.
-    NicConfig plain = chaosNodeTemplate();
-    plain.txPaceRate = 0.0;
-    NicController nc(plain);
-    EXPECT_THROW(nc.quiesceTx(), FatalError);
+}
+
+TEST(PacedTx, DefaultProfileTransmitsAtItsPace)
+{
+    // The paper's default profile, paced to half of line rate.
+    NicConfig cfg;
+    cfg.txPaceRate = 0.5;
+    NicController nc(cfg);
+    NicResults r = nc.run(100 * usT, 400 * usT);
+    EXPECT_NEAR(r.txUdpGbps, 4.79, 0.25);
+    EXPECT_EQ(r.errors, 0u);
+}
+
+TEST(PacedTx, QuiesceStopsUnpacedPosting)
+{
+    // The driver caps any source's budget at the frames it has posted,
+    // so quiescing needs no pacing.
+    NicConfig cfg = chaosNodeTemplate();
+    cfg.txPaceRate = 0.0;
+    NicController nc(cfg);
+    nc.startRun();
+    EventQueue &eq = nc.eventQueue();
+    eq.runUntil(50 * usT);
+    nc.quiesceTx();
+    std::uint64_t posted = nc.deviceDriver().txFramesPosted();
+    EXPECT_GT(posted, 0u);
+    eq.runUntil(eq.curTick() + 100 * usT);
+    EXPECT_EQ(nc.deviceDriver().txFramesPosted(), posted);
+    nc.stopRun();
 }
 
 // ---------------------------------------------------------------------

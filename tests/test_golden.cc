@@ -278,6 +278,8 @@ vnicStormConfig()
     aggressor.faults.watchdogCycles = 50000;
 
     cfg.vfs = {victim, aggressor};
+    cfg.txTraffic = TrafficProfile{};
+    cfg.rxTraffic = TrafficProfile{};
     return cfg;
 }
 
@@ -375,7 +377,7 @@ TEST(Golden, QuietReceive)
     NicConfig cfg;
     cfg.cores = 1;
     cfg.cpuMhz = 200.0;
-    cfg.rxOfferedRate = 0.02;
+    cfg.rxTraffic.offeredRate = 0.02;
     runShape("QuietReceive", cfg, [](NicController &nic) {
         return nic.runFrames(0, 20, 4 * tickPerMs);
     });

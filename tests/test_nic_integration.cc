@@ -288,7 +288,7 @@ TEST(NicConfigErrors, EmptySendRingIsFatal)
 TEST(NicConfigErrors, NanOfferedRateIsFatal)
 {
     NicConfig cfg;
-    cfg.rxOfferedRate = std::nan("");
+    cfg.rxTraffic.offeredRate = std::nan("");
     expectFatal(cfg, "offered rate must be in (0, 1]");
 }
 
@@ -298,19 +298,57 @@ TEST(NicConfigErrors, PayloadOutsideUdpRangeIsFatal)
         std::string want = "payload size must be in [18, 1472], got " +
                            std::to_string(bytes);
         NicConfig rx;
-        rx.rxPayloadBytes = bytes;
+        rx.rxTraffic = TrafficProfile::paper(bytes);
         expectFatal(rx, want);
         NicConfig tx;
-        tx.txPayloadBytes = bytes;
+        tx.txTraffic = TrafficProfile::paper(bytes);
         expectFatal(tx, want);
     }
 }
 
 TEST(NicConfigErrors, TsoWithTxTrafficProfileIsFatal)
 {
+    // TSO runs only a one-flow fixed-size txTraffic, the default.
     NicConfig cfg;
     cfg.firmware.tsoSegments = 4;
     cfg.txTraffic = TrafficProfile::uniform(
         2, SizeModel::fixed(1472), ArrivalModel::paced(), 1.0, 1);
     expectFatal(cfg, "TSO needs one payload size per group");
+    cfg.txTraffic = TrafficProfile::bimodalRequestResponse(1, 90, 1472,
+                                                           0.5, 1.0, 1);
+    expectFatal(cfg, "TSO needs one payload size per group");
+}
+
+TEST(NicConfigErrors, TsoWithPacedPostingIsFatal)
+{
+    NicConfig cfg;
+    cfg.firmware.tsoSegments = 4;
+    cfg.txPaceRate = 0.5;
+    expectFatal(cfg, "TSO needs an unpaced source (txPaceRate 0)");
+}
+
+TEST(NicConfigErrors, EmptyTxTrafficWithoutVfsIsFatal)
+{
+    NicConfig cfg;
+    cfg.txTraffic = TrafficProfile{};
+    expectFatal(cfg, "txTraffic has no flows");
+}
+
+TEST(NicConfigErrors, VfRunMisuseIsFatal)
+{
+    VfConfig vf;
+    vf.txTraffic = TrafficProfile::paper();
+    NicConfig cfg;
+    cfg.vfs = {vf};
+    // The NIC-level profiles must be empty: the VFs own the workload.
+    expectFatal(cfg, "cfg.txTraffic/cfg.rxTraffic");
+    cfg.txTraffic = TrafficProfile{};
+    expectFatal(cfg, "cfg.txTraffic/cfg.rxTraffic");
+    cfg.rxTraffic = TrafficProfile{};
+    cfg.txPaceRate = 0.5;
+    expectFatal(cfg, "txPaceRate must be 0 on vnic runs");
+    // Each VF is checked, and named.
+    cfg.txPaceRate = 0.0;
+    cfg.vfs[0].weight = 0.0;
+    expectFatal(cfg, "vfs[0]: vf weight must be positive");
 }

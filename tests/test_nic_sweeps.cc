@@ -50,8 +50,8 @@ TEST_P(NicSweep, TxDeliversExactlyOnceInOrder)
     cfg.scratchpadBanks = p.banks;
     cfg.firmware.rmwEnhanced = p.rmw;
     cfg.taskLevelFirmware = p.taskLevel;
-    cfg.txPayloadBytes = p.payload;
-    cfg.rxPayloadBytes = p.payload;
+    cfg.txTraffic = TrafficProfile::paper(p.payload);
+    cfg.rxTraffic = cfg.txTraffic;
     NicController nic(cfg);
     nic.runFrames(150, 0, 100 * tickPerMs);
 
@@ -68,13 +68,13 @@ TEST_P(NicSweep, RxDeliversInOrderWithIntactPayloads)
     cfg.scratchpadBanks = p.banks;
     cfg.firmware.rmwEnhanced = p.rmw;
     cfg.taskLevelFirmware = p.taskLevel;
-    cfg.txPayloadBytes = p.payload;
-    cfg.rxPayloadBytes = p.payload;
+    cfg.txTraffic = TrafficProfile::paper(p.payload);
+    cfg.rxTraffic = cfg.txTraffic;
     // Small frames at full line rate overload the firmware and the MAC
     // sheds load (covered by DuplexStress); exactly-once delivery is
     // checked at a sustainable offered rate.
     if (p.payload < 500)
-        cfg.rxOfferedRate = 0.05;
+        cfg.rxTraffic.offeredRate = 0.05;
     NicController nic(cfg);
     nic.runFrames(0, 150, 100 * tickPerMs);
 
@@ -117,8 +117,8 @@ TEST_P(DuplexStress, NoErrorsUnderSaturatingDuplexLoad)
     // or duplicated.
     NicConfig cfg;
     cfg.cores = 4;
-    cfg.txPayloadBytes = GetParam();
-    cfg.rxPayloadBytes = GetParam();
+    cfg.txTraffic = TrafficProfile::paper(GetParam());
+    cfg.rxTraffic = cfg.txTraffic;
     NicController nic(cfg);
     NicResults r = nic.run(tickPerMs, 2 * tickPerMs);
     EXPECT_EQ(r.errors, 0u);
