@@ -26,9 +26,10 @@ ICache::ICache(InstructionMemory &imem_, std::size_t capacity,
 }
 
 Tick
-ICache::lookup(Addr pc, Tick now)
+ICache::lookupSet(Addr line_addr, Tick now)
 {
-    Addr line_addr = pc >> lineShiftBits;
+    lastLine = line_addr;
+    lastValid = true;
     unsigned set = static_cast<unsigned>(line_addr & setMask);
     Addr tag = line_addr >> setShiftBits;
     Line *base = &lines[static_cast<std::size_t>(set) * ways];
@@ -79,6 +80,7 @@ ICache::flush()
 {
     for (auto &l : lines)
         l.valid = false;
+    lastValid = false;
 }
 
 } // namespace tengig

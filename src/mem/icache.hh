@@ -101,6 +101,12 @@ class InstructionMemory
  *
  * The cache is a timing filter for the core's fetch stream: lookup()
  * either hits (no stall) or charges the shared-port fill latency.
+ *
+ * It memoizes the line its last lookup touched.  That line is already
+ * the most recently used in its set, so touching it again changes no
+ * later victim choice under true LRU: a repeat lookup of it counts a
+ * hit and returns without the set walk, exactly as the walk would.
+ * flush() forgets the memo.
  */
 class ICache
 {
@@ -113,7 +119,25 @@ class ICache
      *
      * @return Stall ticks the core must wait (0 on hit).
      */
-    Tick lookup(Addr pc, Tick now);
+    Tick
+    lookup(Addr pc, Tick now)
+    {
+        return hitLastLine(pc) ? 0 : lookupSet(pc >> lineShiftBits, now);
+    }
+
+    /**
+     * The memoized lookup alone: if @p pc lies in the line the last
+     * lookup touched, count a hit and return true; otherwise change
+     * nothing and return false.
+     */
+    bool
+    hitLastLine(Addr pc)
+    {
+        if (!lastValid || (pc >> lineShiftBits) != lastLine)
+            return false;
+        ++hitCount;
+        return true;
+    }
 
     /** @return true if the line containing @p pc is resident. */
     bool probe(Addr pc) const;
@@ -151,6 +175,9 @@ class ICache
         std::uint64_t lastUse = 0;
     };
 
+    /** The set walk: hit or fill line @p line_addr, and memoize it. */
+    Tick lookupSet(Addr line_addr, Tick now);
+
     InstructionMemory &imem;
     unsigned lineBytes;
     unsigned numSets;
@@ -162,6 +189,8 @@ class ICache
     Addr setMask = 0;
     std::vector<Line> lines; // sets * ways
     std::uint64_t useClock = 0;
+    Addr lastLine = 0;       //!< line address of the last lookup
+    bool lastValid = false;  //!< false until a lookup, and after flush()
 
     stats::Counter hitCount;
     stats::Counter missCount;

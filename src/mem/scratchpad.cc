@@ -53,9 +53,12 @@ Scratchpad::scheduleService(unsigned b)
     if (bank.serviceScheduled || bank.queue.empty())
         return;
     bank.serviceScheduled = true;
-    Tick at = std::max(clockDomain().nextEdgeAtOrAfter(curTick()),
-                       clockDomain().edge(bank.nextFree));
-    eventQueue().schedule(at, [this, b] { serviceBank(b); },
+    // The grant runs at the first edge at or after now on which the
+    // bank is free; serviceBank() reads its cycle from here.
+    bank.grantCycle = std::max(clockDomain().cycleAtOrAfter(curTick()),
+                               bank.grantCycle);
+    eventQueue().schedule(clockDomain().edge(bank.grantCycle),
+                          [this, b] { serviceBank(b); },
                           EventPriority::HardwareProgress);
 }
 
@@ -86,13 +89,13 @@ Scratchpad::serviceBank(unsigned b)
         }
     }
 
-    Request req = std::move(bank.queue[pick]);
-    bank.queue.erase(bank.queue.begin() +
-                     static_cast<std::ptrdiff_t>(pick));
+    // Serve the granted request where it sits; it leaves the queue
+    // once its completion holds the callback.
+    Request &req = bank.queue[pick];
     bank.rrNext = (req.requester + 1) % numRequesters;
 
     ++bank.accesses;
-    Cycles grant_cycle = curCycle();
+    Cycles grant_cycle = bank.grantCycle;
     Cycles conflict = grant_cycle > req.arrival
         ? grant_cycle - req.arrival : 0;
     bank.conflictCycles += conflict;
@@ -125,19 +128,21 @@ Scratchpad::serviceBank(unsigned b)
     }
     Cycles done = is_write ? writeAcceptLatency : accessLatency;
     if (req.cb) {
-        scheduleCycles(done,
-                       [cb = std::move(req.cb), result, conflict,
-                        is_write]() mutable {
-                           cb(Response{result, conflict, is_write});
-                       },
-                       EventPriority::HardwareProgress);
+        eventQueue().schedule(clockDomain().edge(grant_cycle + done),
+                              [cb = std::move(req.cb), result, conflict,
+                               is_write]() mutable {
+                                  cb(Response{result, conflict, is_write});
+                              },
+                              EventPriority::HardwareProgress);
     }
+    bank.queue.erase(bank.queue.begin() +
+                     static_cast<std::ptrdiff_t>(pick));
 
     // One grant per cycle.
-    bank.nextFree = grant_cycle + 1;
+    bank.grantCycle = grant_cycle + 1;
     if (!bank.queue.empty()) {
         bank.serviceScheduled = true;
-        eventQueue().schedule(clockDomain().edge(bank.nextFree),
+        eventQueue().schedule(clockDomain().edge(bank.grantCycle),
                               [this, b] { serviceBank(b); },
                               EventPriority::HardwareProgress);
     }

@@ -1,5 +1,6 @@
 #include "event_queue.hh"
 
+#include <memory>
 #include <utility>
 
 namespace tengig {
@@ -38,54 +39,50 @@ orderKey(EventPriority prio, std::uint64_t seq)
 
 } // namespace
 
-std::uint32_t
+EventQueue::Slot &
 EventQueue::acquireSlot()
 {
-    if (!freeSlots.empty()) {
-        std::uint32_t idx = freeSlots.back();
-        freeSlots.pop_back();
-        return idx;
+    if (freeHead != 0) {
+        Slot &s = slotAt(freeHead - 1);
+        freeHead = s.nextFree;
+        return s;
     }
-    panic_if(slots.size() >= 0xffffffffu, "event slot table overflow");
-    slots.emplace_back();
-    return static_cast<std::uint32_t>(slots.size() - 1);
-}
-
-void
-EventQueue::releaseSlot(std::uint32_t idx)
-{
-    freeSlots.push_back(idx);
+    panic_if(slotCount >= 0xffffffffu, "event slot table overflow");
+    if (slotCount % slotsPerChunk == 0)
+        chunks.push_back(std::make_unique<Slot[]>(slotsPerChunk));
+    Slot &s = slotAt(slotCount);
+    s.index = slotCount++;
+    return s;
 }
 
 EventId
-EventQueue::enqueue(Tick when, EventPriority prio, std::uint32_t idx)
+EventQueue::enqueue(Tick when, EventPriority prio, Slot &s)
 {
     panic_if(nextSeq >= maxSeq, "event sequence overflow");
-    Slot &s = slots[idx];
     s.alive = true;
-    PendingEntry e{when, orderKey(prio, nextSeq++), idx};
+    PendingEntry e{when, orderKey(prio, nextSeq++), &s};
     // Nearly every event fires within a cycle or two, so its place is
-    // at or near the back (the soonest end); scan from there.
+    // at or near the back (the soonest end): grow the list by one and
+    // shift each later-firing entry up a place while scanning from
+    // there.
     std::size_t i = pending.size();
-    if (i == 0 || !laterThan(e, pending[i - 1])) {
-        pending.push_back(e); // fires before everything pending
-    } else {
+    pending.push_back(e);
+    while (i > 0 && laterThan(e, pending[i - 1])) {
+        pending[i] = pending[i - 1];
         --i;
-        while (i > 0 && laterThan(e, pending[i - 1]))
-            --i;
-        pending.insert(pending.begin() + i, e);
     }
+    pending[i] = e;
     ++liveCount;
-    return makeId(idx, s.generation);
+    return makeId(s.index, s.generation);
 }
 
 bool
 EventQueue::cancel(EventId id)
 {
     std::uint64_t encoded = id >> 32;
-    if (encoded == 0 || encoded > slots.size())
+    if (encoded == 0 || encoded > slotCount)
         return false;
-    Slot &s = slots[encoded - 1];
+    Slot &s = slotAt(static_cast<std::uint32_t>(encoded - 1));
     if (!s.alive || s.generation != static_cast<std::uint32_t>(id))
         return false;
     // The pending entry stays behind as a tombstone; bumping the
@@ -101,18 +98,30 @@ EventQueue::cancel(EventId id)
 Tick
 EventQueue::run(Tick limit)
 {
+    // Resets and frees a fired slot once its callback returns or
+    // throws.
+    struct Retire
+    {
+        EventQueue &q;
+        Slot &s;
+        ~Retire()
+        {
+            s.fn.reset();
+            q.releaseSlot(s);
+        }
+    };
+
     // The one firing loop: each iteration inspects the soonest entry
     // exactly once; this loop is the simulator's hot spine.
     while (!pending.empty()) {
         const PendingEntry &top = pending.back();
-        std::uint32_t idx = top.slot;
-        Slot &s = slots[idx];
+        Slot &s = *top.slot;
         if (!s.alive) {
             // Drop dead tombstones at the soonest end without executing
             // anything -- a slot flag load, no hash lookup -- so
             // empty() reflects reality even when we stop early.
             pending.pop_back();
-            releaseSlot(idx);
+            releaseSlot(s);
             continue;
         }
         if (top.when > limit)
@@ -126,24 +135,24 @@ EventQueue::run(Tick limit)
         Tick t = top.when;
         _curTick = t;
         do {
-            std::uint32_t i = pending.back().slot;
-            Slot &slot = slots[i];
+            Slot &slot = *pending.back().slot;
             pending.pop_back();
             if (!slot.alive) {
-                releaseSlot(i);
+                releaseSlot(slot);
                 continue;
             }
-            // Move the callback out and recycle the slot *before*
-            // invoking it, so the callback can schedule (and land in
-            // this slot under a fresh generation) without touching
-            // freed state.
-            Callback fn = std::move(slot.fn);
+            // Retire the event before invoking it, so its id no longer
+            // cancels and pendingEvents() is exact inside the callback.
+            // The slot joins the free list only after the callback, so
+            // what the callback schedules lands in other slots, and a
+            // chunk never moves: the callback runs where schedule()
+            // built it, even if the table grows meanwhile.
             slot.alive = false;
             ++slot.generation;
             --liveCount;
-            releaseSlot(i);
             ++executed;
-            fn();
+            Retire retire{*this, slot};
+            slot.fn();
         } while (!pending.empty() && pending.back().when == t);
     }
     return _curTick;

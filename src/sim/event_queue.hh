@@ -10,23 +10,26 @@
  *
  * Internals (see DESIGN.md §10): the pending list holds 24-byte POD
  * entries only, kept sorted latest-first so the soonest event is at the
- * back -- firing is a pop_back and insertion is a short scan from the
- * back, since almost every event is scheduled within a few cycles of
- * now: an insertion passes 2-3 entries on average.  Each entry packs
- * (tick, priority, sequence) into one 128-bit key, so a scan step is a
- * single compare.  The list holds a few to a few dozen entries (about
- * 71 on average with 64 IMIX flows each way), so an ordered array
- * beats a binary heap's sift traffic.  Callbacks are built straight
- * into a recycled slot table addressed by the entry, so insertion
- * shuffles PODs, never closures, and firing moves the callback out
- * exactly once.  EventIds carry the slot's generation counter, making
- * cancellation an O(1) tag compare with no hash set.
+ * back -- firing is a pop_back and insertion shifts later-firing entries
+ * up one place while it scans from the back, since almost every event
+ * is scheduled within a few cycles of now: an insertion passes 2-3
+ * entries on average.  Each entry packs (tick, priority, sequence) into
+ * one 128-bit key, so a scan step is a single compare.  The list holds
+ * a few to a few dozen entries (about 71 on average with 64 IMIX flows
+ * each way), so an ordered array beats a binary heap's sift traffic.
+ * Callbacks are built straight into a recycled slot table addressed by
+ * the entry, so insertion shuffles PODs, never closures.  The slots
+ * live in fixed-size chunks that never move, so firing invokes each
+ * callback where schedule() built it and then resets the slot: a
+ * callback is never moved at all.  EventIds carry the slot's generation
+ * counter, making cancellation an O(1) tag compare with no hash set.
  */
 
 #ifndef TENGIG_SIM_EVENT_QUEUE_HH
 #define TENGIG_SIM_EVENT_QUEUE_HH
 
 #include <cstdint>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -76,6 +79,13 @@ class EventQueue
      */
     using Callback = SmallFn<void(), 64>;
 
+    /**
+     * Slots per chunk of the slot table.  The table grows a chunk at a
+     * time and a chunk never moves, so a callback runs in place even
+     * when the events it schedules grow the table.
+     */
+    static constexpr std::size_t slotsPerChunk = 64;
+
     EventQueue() = default;
     EventQueue(const EventQueue &) = delete;
     EventQueue &operator=(const EventQueue &) = delete;
@@ -99,14 +109,13 @@ class EventQueue
         panic_if(when < _curTick,
                  "scheduling event in the past: when=", when,
                  " cur=", _curTick);
-        std::uint32_t idx = acquireSlot();
-        Slot &s = slots[idx];
+        Slot &s = acquireSlot();
         s.fn.assign(std::forward<F>(fn));
         if (!s.fn) {
-            releaseSlot(idx);
+            releaseSlot(s);
             panic("scheduling null event callback");
         }
-        return enqueue(when, prio, idx);
+        return enqueue(when, prio, s);
     }
 
     /** Schedule relative to now. */
@@ -155,29 +164,31 @@ class EventQueue
     /// @}
 
   private:
+    /** Out-of-line callback storage, recycled through a free list. */
+    struct Slot
+    {
+        Callback fn;
+        std::uint32_t index = 0;      //!< place in the table
+        std::uint32_t generation = 0;
+        std::uint32_t nextFree = 0;   //!< free-list link: index + 1, 0 ends
+        bool alive = false;
+    };
+
     /**
      * Pending-list node: 24 trivially-copyable bytes.  The callback
-     * stays in the slot table so insertion shuffles PODs, not closures.
-     * `order` packs the tie-breaks as (prio + 128) << 56 | seq, so
-     * (when, order) read as one 128-bit number is (when, prio, seq)
-     * order; seq preserves insertion order among equal (when, prio)
-     * pairs.
+     * stays in the slot table so insertion shuffles PODs, not closures;
+     * slots never move, so the entry points at its slot.  `order` packs
+     * the tie-breaks as (prio + 128) << 56 | seq, so (when, order) read
+     * as one 128-bit number is (when, prio, seq) order; seq preserves
+     * insertion order among equal (when, prio) pairs.
      */
     struct PendingEntry
     {
         Tick when;
         std::uint64_t order;
-        std::uint32_t slot;
+        Slot *slot;
     };
     static_assert(sizeof(PendingEntry) == 24);
-
-    /** Out-of-line callback storage, recycled through a free list. */
-    struct Slot
-    {
-        Callback fn;
-        std::uint32_t generation = 0;
-        bool alive = false;
-    };
 
     /** @return true if @p a fires after @p b: one 128-bit compare. */
     static bool
@@ -187,15 +198,29 @@ class EventQueue
         return (Key{a.when} << 64 | a.order) > (Key{b.when} << 64 | b.order);
     }
 
-    std::uint32_t acquireSlot();
-    void releaseSlot(std::uint32_t idx);
-    /** Mark slot @p idx live and insert its pending entry. */
-    EventId enqueue(Tick when, EventPriority prio, std::uint32_t idx);
+    Slot &
+    slotAt(std::uint32_t idx) const
+    {
+        return chunks[idx / slotsPerChunk][idx % slotsPerChunk];
+    }
+
+    Slot &acquireSlot();
+    /** Put @p s on the free list; never allocates. */
+    void
+    releaseSlot(Slot &s)
+    {
+        s.nextFree = freeHead;
+        freeHead = s.index + 1;
+    }
+    /** Mark @p s live and insert its pending entry. */
+    EventId enqueue(Tick when, EventPriority prio, Slot &s);
 
     /** Sorted latest-first: the soonest-firing entry is at the back. */
     std::vector<PendingEntry> pending;
-    std::vector<Slot> slots;
-    std::vector<std::uint32_t> freeSlots;
+    /** The slot table, slotsPerChunk slots per chunk. */
+    std::vector<std::unique_ptr<Slot[]>> chunks;
+    std::uint32_t slotCount = 0;
+    std::uint32_t freeHead = 0; //!< first free slot's index + 1, 0: none
     std::size_t liveCount = 0;
     Tick _curTick = 0;
     std::uint64_t nextSeq = 1;
