@@ -42,9 +42,18 @@ NicConfig::validate() const
     if (vfs.empty()) {
         fatal_if(!txTraffic.enabled(), "txTraffic has no flows: a NIC "
                  "without VFs posts from its transmit profile");
-        txTraffic.validate();
-        if (rxTraffic.enabled())
-            rxTraffic.validate();
+        try {
+            txTraffic.validate();
+        } catch (const FatalError &e) {
+            fatalWithContext(e, "txTraffic");
+        }
+        if (rxTraffic.enabled()) {
+            try {
+                rxTraffic.validate();
+            } catch (const FatalError &e) {
+                fatalWithContext(e, "rxTraffic");
+            }
+        }
     } else {
         fatal_if(txTraffic.enabled() || rxTraffic.enabled(),
                  "vnic runs own the workload: per-VF profiles replace "

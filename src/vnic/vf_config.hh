@@ -79,10 +79,18 @@ struct VfConfig
         fatal_if(txTraffic.flowIdBase != 0 || rxTraffic.flowIdBase != 0,
                  "vf profiles use mux-assigned flow ranges; "
                  "flowIdBase must stay 0");
-        if (txTraffic.enabled())
-            txTraffic.validate();
-        if (rxTraffic.enabled())
-            rxTraffic.validate();
+        try {
+            if (txTraffic.enabled())
+                txTraffic.validate();
+        } catch (const FatalError &e) {
+            fatalWithContext(e, "txTraffic");
+        }
+        try {
+            if (rxTraffic.enabled())
+                rxTraffic.validate();
+        } catch (const FatalError &e) {
+            fatalWithContext(e, "rxTraffic");
+        }
     }
 };
 

@@ -97,6 +97,14 @@ TEST(EventQueue, CancelAfterFireFails)
     EventId id = eq.schedule(10, [] {});
     eq.run();
     EXPECT_FALSE(eq.cancel(id));
+
+    // A firing event is already retired: cancelling its own id fails.
+    EventId self = invalidEventId;
+    bool cancelled = true;
+    self = eq.schedule(20, [&] { cancelled = eq.cancel(self); });
+    eq.run();
+    EXPECT_FALSE(cancelled);
+    EXPECT_TRUE(eq.empty());
 }
 
 TEST(EventQueue, CancelInvalidIdFails)
@@ -140,6 +148,28 @@ TEST(EventQueue, EventsCanScheduleEvents)
     eq.run();
     EXPECT_EQ(depth, 5);
     EXPECT_EQ(eq.curTick(), 40u);
+
+    // A callback runs in its slot.  This one schedules more events than
+    // a slot chunk holds, so the slot table grows while it runs, then
+    // reads and writes its own inline capture: if the slot had moved,
+    // that would be a use after free.
+    constexpr std::size_t burst = 3 * EventQueue::slotsPerChunk;
+    std::size_t fired = 0;
+    std::uint64_t sum = 0;
+    eq.schedule(50, [&eq, &fired, &sum,
+                     words = std::array<std::uint64_t, 4>{1, 2, 3, 4}]()
+                        mutable {
+        for (std::size_t i = 0; i < burst; ++i)
+            eq.schedule(60, [&fired] { ++fired; });
+        for (std::uint64_t &w : words)
+            w *= 10;
+        for (std::uint64_t w : words)
+            sum += w;
+    });
+    eq.run();
+    EXPECT_EQ(sum, 100u);
+    EXPECT_EQ(fired, burst);
+    EXPECT_TRUE(eq.empty());
 }
 
 TEST(EventQueue, SameTickSelfScheduleRuns)
@@ -352,10 +382,10 @@ TEST(EventQueue, RandomizedOrderMatchesReferenceSort)
 TEST(EventQueue, CallbacksAreDestroyedExactlyOnce)
 {
     // Every capture is destroyed exactly once, whether its event fires,
-    // is cancelled, or is still pending when the queue is destroyed.
-    // Each fate meets a move-only capture that fits SmallFn's inline
-    // buffer and one that spills to the heap, passed as a lambda and
-    // as a prebuilt Callback.
+    // is cancelled, throws, or is still pending when the queue is
+    // destroyed.  Each fate meets a move-only capture that fits
+    // SmallFn's inline buffer and one that spills to the heap, passed
+    // as a lambda and as a prebuilt Callback.
     struct Probe
     {
         Probe(std::vector<int> &counts, std::size_t id)
@@ -366,18 +396,25 @@ TEST(EventQueue, CallbacksAreDestroyedExactlyOnce)
         std::vector<int> &destroyed;
         std::size_t id;
     };
-    constexpr std::size_t n = 12;
+    constexpr std::size_t n = 16;
     std::vector<int> destroyed(n, 0);
     std::vector<int> ran(n, 0);
+    // Fates by i / 4: fire at tick 10, cancel, left pending, and throw
+    // at tick 5.
+    auto body = [&ran](std::size_t i) {
+        ++ran[i];
+        if (i / 4 == 3)
+            fatal("event ", i, " failed");
+    };
     auto small = [&](std::size_t i) {
-        return [&ran, probe = std::make_unique<Probe>(destroyed, i)] {
-            ++ran[probe->id];
+        return [body, probe = std::make_unique<Probe>(destroyed, i)] {
+            body(probe->id);
         };
     };
     auto large = [&](std::size_t i) {
-        return [&ran, probe = std::make_unique<Probe>(destroyed, i),
+        return [body, probe = std::make_unique<Probe>(destroyed, i),
                 pad = std::array<std::uint64_t, 8>{}] {
-            ++ran[probe->id + pad[0]];
+            body(probe->id + pad[0]);
         };
     };
     static_assert(sizeof(decltype(large(0))) > 64);
@@ -385,8 +422,7 @@ TEST(EventQueue, CallbacksAreDestroyedExactlyOnce)
         EventQueue eq;
         std::vector<EventId> ids;
         for (std::size_t i = 0; i < n; ++i) {
-            // Fates by i / 4: fire at tick 10, cancel, left pending.
-            Tick when = i / 4 == 2 ? 1000 : 10;
+            Tick when = i / 4 == 2 ? 1000 : i / 4 == 3 ? 5 : 10;
             switch (i % 4) {
             case 0:
                 ids.push_back(eq.schedule(when, small(i)));
@@ -410,10 +446,19 @@ TEST(EventQueue, CallbacksAreDestroyedExactlyOnce)
             EXPECT_TRUE(eq.cancel(ids[i]));
             EXPECT_EQ(destroyed[i], 1) << i;
         }
+        // Each run stops at the next throwing event, which is destroyed
+        // by then; the count of live events stays exact.
+        for (std::size_t i = 12; i < n; ++i) {
+            EXPECT_THROW(eq.runUntil(100), FatalError) << i;
+            EXPECT_EQ(ran[i], 1) << i;
+            EXPECT_EQ(destroyed[i], 1) << i;
+            EXPECT_EQ(eq.pendingEvents(), n - 1 - i + 8) << i;
+        }
+        // The queue then runs the remaining events as usual.
         eq.runUntil(100);
         for (std::size_t i = 0; i < n; ++i) {
-            EXPECT_EQ(ran[i], i < 4 ? 1 : 0) << i;
-            EXPECT_EQ(destroyed[i], i < 8 ? 1 : 0) << i;
+            EXPECT_EQ(ran[i], i < 4 || i >= 12 ? 1 : 0) << i;
+            EXPECT_EQ(destroyed[i], i / 4 == 2 ? 0 : 1) << i;
         }
         EXPECT_EQ(eq.pendingEvents(), 4u);
     }

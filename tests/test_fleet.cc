@@ -225,7 +225,8 @@ TEST(FleetConfigT, ValidateChecksEveryNodeProfile)
         ADD_FAILURE() << "a zero offered rate must be fatal";
     } catch (const FatalError &e) {
         std::string what = e.what();
-        EXPECT_NE(what.find("node 1: offered rate must be in (0, 1]"),
+        EXPECT_NE(what.find("node 1: rxTraffic: offered rate must be in "
+                            "(0, 1]"),
                   std::string::npos)
             << what;
     }

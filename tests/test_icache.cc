@@ -6,7 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "mem/icache.hh"
+#include "sim/random.hh"
 
 using namespace tengig;
 
@@ -144,4 +148,122 @@ TEST(ICacheSweep, CapacityReducesMissesOnLoopingFootprint)
     double big_ratio = run(big);
     EXPECT_GT(small_ratio, big_ratio);
     EXPECT_LT(big_ratio, 0.02);
+}
+
+namespace {
+
+/**
+ * True-LRU set-associative cache kept the plain way: each set is a list
+ * of tags, most recent first, and every lookup walks it.  No memo.
+ */
+class ReferenceICache
+{
+  public:
+    ReferenceICache(InstructionMemory &imem, std::size_t capacity,
+                    unsigned assoc, unsigned line_size)
+        : imem(imem), lineBytes(line_size), ways(assoc),
+          sets(capacity / line_size / assoc)
+    {}
+
+    Tick
+    lookup(Addr pc, Tick now)
+    {
+        Addr line_addr = pc / lineBytes;
+        std::vector<Addr> &set = sets[line_addr % sets.size()];
+        Addr tag = line_addr / sets.size();
+        auto it = std::find(set.begin(), set.end(), tag);
+        if (it != set.end()) {
+            set.erase(it);
+            set.insert(set.begin(), tag);
+            ++hits;
+            return 0;
+        }
+        ++misses;
+        if (set.size() == ways)
+            set.pop_back();
+        set.insert(set.begin(), tag);
+        Tick done = imem.fill(now, lineBytes);
+        return done > now ? done - now : 0;
+    }
+
+    void
+    flush()
+    {
+        for (auto &set : sets)
+            set.clear();
+    }
+
+    std::uint64_t hits = 0;
+    std::uint64_t misses = 0;
+
+  private:
+    InstructionMemory &imem;
+    unsigned lineBytes;
+    unsigned ways;
+    std::vector<std::vector<Addr>> sets;
+};
+
+} // namespace
+
+TEST(ICacheProperty, MemoMatchesTrueLruReference)
+{
+    // Seeded PC streams rich in what the last-line memo must get right:
+    // repeats inside the line looked up last, lines that conflict with
+    // it in its set, and a flush() mid-stream after which the memo must
+    // not hit.  Each cache has its own instruction memory, so every
+    // stall, hit, miss, fill and port-busy tick must agree.
+    struct Geometry
+    {
+        std::size_t capacity;
+        unsigned assoc;
+        unsigned line;
+    };
+    const Geometry geometries[] = {
+        {8 * 1024, 2, 32}, {1024, 4, 16}, {256, 1, 32}, {512, 2, 64}};
+    ClockDomain cpu("cpu", 5000);
+    for (const Geometry &g : geometries) {
+        for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+            InstructionMemory imem(cpu), ref_imem(cpu);
+            ICache cache(imem, g.capacity, g.assoc, g.line);
+            ReferenceICache ref(ref_imem, g.capacity, g.assoc, g.line);
+            Rng rng(seed);
+            const Addr set_stride = g.capacity / g.assoc;
+            constexpr int lookups = 4000;
+            Addr pc = 0;
+            Tick now = 0;
+            for (int i = 0; i < lookups; ++i) {
+                if (i == lookups / 2 || rng.below(500) == 0) {
+                    cache.flush();
+                    ref.flush();
+                }
+                switch (rng.below(4)) {
+                case 0:
+                case 1: // same line as the last lookup
+                    pc = pc / g.line * g.line + rng.below(g.line);
+                    break;
+                case 2: // same set, another tag
+                    pc += set_stride * (1 + rng.below(g.assoc + 1));
+                    break;
+                default: // anywhere in a footprint of a few caches
+                    pc = rng.below(4 * g.capacity);
+                    break;
+                }
+                pc %= 8 * g.capacity;
+                Tick stall = cache.lookup(pc, now);
+                ASSERT_EQ(stall, ref.lookup(pc, now))
+                    << "geometry " << g.capacity << "/" << g.assoc << "/"
+                    << g.line << " seed " << seed << " lookup " << i
+                    << " pc " << pc;
+                now += stall + cpu.period() * rng.below(3);
+            }
+            EXPECT_EQ(cache.hits(), ref.hits);
+            EXPECT_EQ(cache.misses(), ref.misses);
+            EXPECT_GT(ref.hits, ref.misses);
+            EXPECT_EQ(imem.fillCount(), ref_imem.fillCount());
+            EXPECT_EQ(imem.bytesTransferred(), ref_imem.bytesTransferred());
+            // Busy ticks over the same span: equal ratios of integers.
+            EXPECT_EQ(imem.utilization(now + 1),
+                      ref_imem.utilization(now + 1));
+        }
+    }
 }

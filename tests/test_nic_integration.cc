@@ -287,9 +287,13 @@ TEST(NicConfigErrors, EmptySendRingIsFatal)
 
 TEST(NicConfigErrors, NanOfferedRateIsFatal)
 {
-    NicConfig cfg;
-    cfg.rxTraffic.offeredRate = std::nan("");
-    expectFatal(cfg, "offered rate must be in (0, 1]");
+    // The error names the profile that holds the bad rate.
+    NicConfig rx;
+    rx.rxTraffic.offeredRate = std::nan("");
+    expectFatal(rx, "fatal: rxTraffic: offered rate must be in (0, 1]");
+    NicConfig tx;
+    tx.txTraffic.offeredRate = std::nan("");
+    expectFatal(tx, "fatal: txTraffic: offered rate must be in (0, 1]");
 }
 
 TEST(NicConfigErrors, PayloadOutsideUdpRangeIsFatal)
