@@ -53,12 +53,9 @@ Scratchpad::scheduleService(unsigned b)
     if (bank.serviceScheduled || bank.queue.empty())
         return;
     bank.serviceScheduled = true;
-    // The grant runs at the first edge at or after now on which the
-    // bank is free; serviceBank() reads its cycle from here.
-    bank.grantCycle = std::max(clockDomain().cycleAtOrAfter(curTick()),
-                               bank.grantCycle);
-    eventQueue().schedule(clockDomain().edge(bank.grantCycle),
-                          [this, b] { serviceBank(b); },
+    Tick at = std::max(clockDomain().nextEdgeAtOrAfter(curTick()),
+                       clockDomain().edge(bank.nextFree));
+    eventQueue().schedule(at, [this, b] { serviceBank(b); },
                           EventPriority::HardwareProgress);
 }
 
@@ -89,13 +86,13 @@ Scratchpad::serviceBank(unsigned b)
         }
     }
 
-    // Serve the granted request where it sits; it leaves the queue
-    // once its completion holds the callback.
-    Request &req = bank.queue[pick];
+    Request req = std::move(bank.queue[pick]);
+    bank.queue.erase(bank.queue.begin() +
+                     static_cast<std::ptrdiff_t>(pick));
     bank.rrNext = (req.requester + 1) % numRequesters;
 
     ++bank.accesses;
-    Cycles grant_cycle = bank.grantCycle;
+    Cycles grant_cycle = curCycle();
     Cycles conflict = grant_cycle > req.arrival
         ? grant_cycle - req.arrival : 0;
     bank.conflictCycles += conflict;
@@ -128,21 +125,19 @@ Scratchpad::serviceBank(unsigned b)
     }
     Cycles done = is_write ? writeAcceptLatency : accessLatency;
     if (req.cb) {
-        eventQueue().schedule(clockDomain().edge(grant_cycle + done),
-                              [cb = std::move(req.cb), result, conflict,
-                               is_write]() mutable {
-                                  cb(Response{result, conflict, is_write});
-                              },
-                              EventPriority::HardwareProgress);
+        scheduleCycles(done,
+                       [cb = std::move(req.cb), result, conflict,
+                        is_write]() mutable {
+                           cb(Response{result, conflict, is_write});
+                       },
+                       EventPriority::HardwareProgress);
     }
-    bank.queue.erase(bank.queue.begin() +
-                     static_cast<std::ptrdiff_t>(pick));
 
     // One grant per cycle.
-    bank.grantCycle = grant_cycle + 1;
+    bank.nextFree = grant_cycle + 1;
     if (!bank.queue.empty()) {
         bank.serviceScheduled = true;
-        eventQueue().schedule(clockDomain().edge(bank.grantCycle),
+        eventQueue().schedule(clockDomain().edge(bank.nextFree),
                               [this, b] { serviceBank(b); },
                               EventPriority::HardwareProgress);
     }

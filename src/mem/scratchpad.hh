@@ -152,9 +152,7 @@ class Scratchpad : public Clocked
         std::vector<Request> queue;
         unsigned rrNext = 0;      //!< round-robin pointer over requesters
         bool serviceScheduled = false;
-        /// The cycle the scheduled grant runs at while serviceScheduled;
-        /// otherwise the earliest cycle the next grant may run.
-        Cycles grantCycle = 0;
+        Cycles nextFree = 0;      //!< earliest cycle the next grant may run
         stats::Counter accesses;
         stats::Counter conflictCycles;
     };

@@ -46,18 +46,15 @@ class ClockDomain
     /** Cycle index of the most recent edge at or before @p t. */
     Cycles cycleAt(Tick t) const { return t / _period; }
 
-    /** Cycle index of the first edge at or after @p t. */
-    Cycles
-    cycleAtOrAfter(Tick t) const
-    {
-        return (t + _period - 1) / _period;
-    }
-
     /**
      * First edge at or after @p t (a request arriving mid-cycle is
      * sampled on the next edge).
      */
-    Tick nextEdgeAtOrAfter(Tick t) const { return edge(cycleAtOrAfter(t)); }
+    Tick
+    nextEdgeAtOrAfter(Tick t) const
+    {
+        return (t + _period - 1) / _period * _period;
+    }
 
     /** First edge strictly after @p t. */
     Tick

@@ -199,7 +199,7 @@ class EventQueue
     }
 
     Slot &
-    slotAt(std::uint32_t idx) const
+    slotAt(std::uint32_t idx)
     {
         return chunks[idx / slotsPerChunk][idx % slotsPerChunk];
     }
