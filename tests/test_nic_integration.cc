@@ -355,4 +355,8 @@ TEST(NicConfigErrors, VfRunMisuseIsFatal)
     cfg.txPaceRate = 0.0;
     cfg.vfs[0].weight = 0.0;
     expectFatal(cfg, "vfs[0]: vf weight must be positive");
+    // So is each of a VF's profiles.
+    cfg.vfs[0].weight = 1.0;
+    cfg.vfs[0].txTraffic.offeredRate = std::nan("");
+    expectFatal(cfg, "vfs[0]: txTraffic: offered rate must be in (0, 1]");
 }
