@@ -10,10 +10,8 @@
  *   baseline       one isolated instance, one thread: the per-node
  *                  host events/sec reference
  *   scale m<M>.t<T> ring-forwarding fleets of M nodes on T worker
- *                  threads, T = min(M, 4), each run as 5 alternating
- *                  1-thread / T-thread pairs; the rows show the pair
- *                  of median efficiency, and the scaling gate below
- *                  applies to rows with T <= hardware threads
+ *                  threads; the scaling gate below applies to rows
+ *                  with T <= hardware threads
  *   window w<W>    the throughput-vs-latency sweep: sync window W
  *                  (with fabric latency L = W, the lookahead minimum)
  *                  trades barrier overhead against switch transit
@@ -28,10 +26,8 @@
  *   - correctness: zero validation errors on every row (forwarded
  *     frames may be shed at full FIFOs -- lossy receive contract --
  *     but never duplicated or corrupted)
- *   - scaling: for rows with 1 < T <= hardware threads, the median
- *     over the pairs of aggregate host events/sec / (T x the paired
- *     1-thread rate) is >= 0.7: a slow vCPU during one run moves one
- *     pair, not the verdict
+ *   - scaling: for rows with 1 < T <= hardware threads, aggregate
+ *     host events/sec >= 0.7 x T x the same fleet's 1-thread rate
  *   - concurrency: on multi-core hosts, threaded rows must observe
  *     >1 worker inside instance event loops simultaneously
  *
@@ -39,7 +35,6 @@
  * BENCH_fleet.json); --quick shrinks windows for the smoke run.
  */
 
-#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <thread>
@@ -155,19 +150,17 @@ main(int argc, char **argv)
     std::printf("%-16s %8s %8s %12s %8s %10s %10s %8s\n", "row", "nodes",
                 "threads", "events/s", "eff", "fwd", "latP99us", "errors");
 
-    // Efficiency of run @p r against @p eff_base events/sec per useful
-    // worker (0: no reference).
-    auto efficiency = [&](const FleetConfig &fc, const FleetResults &r,
-                          double eff_base) {
-        if (eff_base <= 0)
-            return 0.0;
-        unsigned useful = std::min<unsigned>(
-            {fc.threads ? fc.threads : hw, hw,
-             static_cast<unsigned>(fc.nodes.size())});
-        return r.eventsPerSec / (useful * eff_base);
-    };
-    auto printRow = [&](const std::string &name, const FleetConfig &fc,
-                        const FleetResults &r, double eff) {
+    auto runRow = [&](const std::string &name, const FleetConfig &fc,
+                      double eff_base) -> FleetResults {
+        FleetRunner fleet(fc);
+        FleetResults r = fleet.run();
+        double eff = 0.0;
+        if (eff_base > 0) {
+            unsigned useful = std::min<unsigned>(
+                {fc.threads ? fc.threads : hw, hw,
+                 static_cast<unsigned>(fc.nodes.size())});
+            eff = r.eventsPerSec / (useful * eff_base);
+        }
         std::printf("%-16s %8zu %8u %12.0f %8.2f %10llu %10.1f %8llu\n",
                     name.c_str(), fc.nodes.size(), fc.threads,
                     r.eventsPerSec, eff,
@@ -179,12 +172,6 @@ main(int argc, char **argv)
         // accounted to a loss class; silent loss fails the soak.
         check(r.unaccountedLoss == 0,
               "unaccounted cross-node frame loss (ledger broken)");
-    };
-    auto runRow = [&](const std::string &name, const FleetConfig &fc,
-                      double eff_base) -> FleetResults {
-        FleetResults r = FleetRunner(fc).run();
-        double eff = efficiency(fc, r, eff_base);
-        printRow(name, fc, r, eff);
         report.addRow(name, rowConfig(fc), rowMetrics(r, eff));
         return r;
     };
@@ -193,59 +180,25 @@ main(int argc, char **argv)
     FleetResults base =
         runRow("baseline", makeFleet(1, 1, 10, false), 0.0);
 
-    // Thread-scaling rows: each fleet size runs at 1 thread (its own
-    // linear-scaling reference) and at T threads, in alternating pairs
-    // (the 1-thread run first in odd pairs).  The pair of median
-    // efficiency is the row, so one slow vCPU during one run moves one
-    // pair, not the gate.
-    constexpr unsigned scalingPairs = 5;
-    for (unsigned m : {2u, 4u, 16u}) {
-        unsigned t = std::min(m, 4u);
+    // Thread-scaling rows: each fleet size measured at 1 thread (its
+    // own linear-scaling reference) and at T = nodes threads.
+    for (unsigned m : {2u, 4u}) {
         FleetConfig f1 = makeFleet(m, 1, 10, true);
-        FleetConfig ft = makeFleet(m, t, 10, true);
-        struct Pair
-        {
-            FleetResults r1, rt;
-            double eff;
-        };
-        std::vector<Pair> pairs(scalingPairs);
-        for (unsigned p = 0; p < scalingPairs; ++p) {
-            Pair &pr = pairs[p];
-            if (p % 2 == 0) {
-                pr.r1 = FleetRunner(f1).run();
-                pr.rt = FleetRunner(ft).run();
-            } else {
-                pr.rt = FleetRunner(ft).run();
-                pr.r1 = FleetRunner(f1).run();
-            }
-            pr.eff = efficiency(ft, pr.rt, pr.r1.eventsPerSec);
-        }
-        std::sort(pairs.begin(), pairs.end(),
-                  [](const Pair &a, const Pair &b) { return a.eff < b.eff; });
-        const Pair &mid = pairs[scalingPairs / 2];
-        double eff_min = pairs.front().eff;
-        double eff_max = pairs.back().eff;
+        FleetResults r1 =
+            runRow("scale m" + std::to_string(m) + ".t1", f1,
+                   base.eventsPerSec);
 
-        std::string name = "scale m" + std::to_string(m);
-        double eff1 = efficiency(f1, mid.r1, base.eventsPerSec);
-        printRow(name + ".t1", f1, mid.r1, eff1);
-        report.addRow(name + ".t1", rowConfig(f1), rowMetrics(mid.r1, eff1));
-        name += ".t" + std::to_string(t);
-        printRow(name, ft, mid.rt, mid.eff);
-        std::printf("%-16s %u pairs: eff min %.2f, max %.2f\n", "",
-                    scalingPairs, eff_min, eff_max);
-        obs::json::Value metrics = rowMetrics(mid.rt, mid.eff);
-        metrics.set("scalingPairs", scalingPairs);
-        metrics.set("scalingEfficiencyMin", eff_min);
-        metrics.set("scalingEfficiencyMax", eff_max);
-        report.addRow(name, rowConfig(ft), std::move(metrics));
+        FleetConfig fm = makeFleet(m, m, 10, true);
+        FleetResults rm = runRow(
+            "scale m" + std::to_string(m) + ".t" + std::to_string(m),
+            fm, r1.eventsPerSec);
 
         // The 0.7x-linear gate applies up to the hardware threads this
         // host actually has; oversubscribed rows are informational.
-        if (t <= hw) {
-            check(mid.eff >= 0.7,
+        if (m <= hw) {
+            check(rm.eventsPerSec >= 0.7 * m * r1.eventsPerSec,
                   "aggregate events/sec below 0.7x linear scaling");
-            check(mid.rt.maxConcurrentWorkers > 1,
+            check(rm.maxConcurrentWorkers > 1,
                   "threaded fleet never ran >1 instance concurrently");
         }
     }
