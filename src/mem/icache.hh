@@ -122,21 +122,12 @@ class ICache
     Tick
     lookup(Addr pc, Tick now)
     {
-        return hitLastLine(pc) ? 0 : lookupSet(pc >> lineShiftBits, now);
-    }
-
-    /**
-     * The memoized lookup alone: if @p pc lies in the line the last
-     * lookup touched, count a hit and return true; otherwise change
-     * nothing and return false.
-     */
-    bool
-    hitLastLine(Addr pc)
-    {
-        if (!lastValid || (pc >> lineShiftBits) != lastLine)
-            return false;
-        ++hitCount;
-        return true;
+        Addr line_addr = pc >> lineShiftBits;
+        if (lastValid && line_addr == lastLine) {
+            ++hitCount;
+            return 0;
+        }
+        return lookupSet(line_addr, now);
     }
 
     /** @return true if the line containing @p pc is resident. */

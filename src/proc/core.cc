@@ -150,23 +150,20 @@ Core::fetchStall(FuncTag tag, unsigned instrs)
     Tick stall = 0;
     Addr off = pcOffset[ti];
     unsigned shift = icache.lineShift();
+    Addr line = icache.lineSize();
     Addr bytes = static_cast<Addr>(instrs) * 4;
+    // Touch every I-cache line the PC range covers, wrapping within the
+    // bucket's code region (wrap models loop back-edges re-executing
+    // resident lines).
     Addr first_line = off >> shift;
     Addr last_line = (off + (bytes ? bytes - 1 : 0)) >> shift;
     Addr base = layout.base[ti];
     Addr wrapped = first_line << shift; // off < region, so wrapped < region
-    // An op inside the line the I-cache touched last is one memoized
-    // hit.  Otherwise touch every I-cache line the PC range covers,
-    // wrapping within the bucket's code region (wrap models loop
-    // back-edges re-executing resident lines).
-    if (first_line != last_line || !icache.hitLastLine(base + wrapped)) {
-        Addr line = icache.lineSize();
-        for (Addr l = first_line; l <= last_line; ++l) {
-            stall += icache.lookup(base + wrapped, curTick() + stall);
-            wrapped += line;
-            while (wrapped >= region)
-                wrapped -= region;
-        }
+    for (Addr l = first_line; l <= last_line; ++l) {
+        stall += icache.lookup(base + wrapped, curTick() + stall);
+        wrapped += line;
+        while (wrapped >= region)
+            wrapped -= region;
     }
     Addr next = off + bytes;
     if (next >= region)

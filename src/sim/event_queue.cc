@@ -1,6 +1,5 @@
 #include "event_queue.hh"
 
-#include <memory>
 #include <utility>
 
 namespace tengig {
@@ -42,16 +41,14 @@ orderKey(EventPriority prio, std::uint64_t seq)
 EventQueue::Slot &
 EventQueue::acquireSlot()
 {
-    if (freeHead != 0) {
-        Slot &s = slotAt(freeHead - 1);
+    if (freeHead) {
+        Slot &s = *freeHead;
         freeHead = s.nextFree;
         return s;
     }
-    panic_if(slotCount >= 0xffffffffu, "event slot table overflow");
-    if (slotCount % slotsPerChunk == 0)
-        chunks.push_back(std::make_unique<Slot[]>(slotsPerChunk));
-    Slot &s = slotAt(slotCount);
-    s.index = slotCount++;
+    panic_if(slots.size() >= 0xffffffffu, "event slot table overflow");
+    Slot &s = slots.emplace_back();
+    s.index = static_cast<std::uint32_t>(slots.size() - 1);
     return s;
 }
 
@@ -62,9 +59,9 @@ EventQueue::enqueue(Tick when, EventPriority prio, Slot &s)
     s.alive = true;
     PendingEntry e{when, orderKey(prio, nextSeq++), &s};
     // Nearly every event fires within a cycle or two, so its place is
-    // at or near the back (the soonest end): grow the list by one and
-    // shift each later-firing entry up a place while scanning from
-    // there.
+    // at or near the back (the soonest end): grow the list by one and,
+    // scanning from there, shift each entry that fires before the new
+    // one a place toward the back.
     std::size_t i = pending.size();
     pending.push_back(e);
     while (i > 0 && laterThan(e, pending[i - 1])) {
@@ -80,9 +77,9 @@ bool
 EventQueue::cancel(EventId id)
 {
     std::uint64_t encoded = id >> 32;
-    if (encoded == 0 || encoded > slotCount)
+    if (encoded == 0 || encoded > slots.size())
         return false;
-    Slot &s = slotAt(static_cast<std::uint32_t>(encoded - 1));
+    Slot &s = slots[encoded - 1];
     if (!s.alive || s.generation != static_cast<std::uint32_t>(id))
         return false;
     // The pending entry stays behind as a tombstone; bumping the
@@ -144,9 +141,9 @@ EventQueue::run(Tick limit)
             // Retire the event before invoking it, so its id no longer
             // cancels and pendingEvents() is exact inside the callback.
             // The slot joins the free list only after the callback, so
-            // what the callback schedules lands in other slots, and a
-            // chunk never moves: the callback runs where schedule()
-            // built it, even if the table grows meanwhile.
+            // what the callback schedules lands in other slots, and no
+            // slot moves when the table grows: the callback runs where
+            // schedule() built it.
             slot.alive = false;
             ++slot.generation;
             --liveCount;

@@ -10,16 +10,17 @@
  *
  * Internals (see DESIGN.md §10): the pending list holds 24-byte POD
  * entries only, kept sorted latest-first so the soonest event is at the
- * back -- firing is a pop_back and insertion shifts later-firing entries
- * up one place while it scans from the back, since almost every event
- * is scheduled within a few cycles of now: an insertion passes 2-3
- * entries on average.  Each entry packs (tick, priority, sequence) into
- * one 128-bit key, so a scan step is a single compare.  The list holds
- * a few to a few dozen entries (about 71 on average with 64 IMIX flows
- * each way), so an ordered array beats a binary heap's sift traffic.
- * Callbacks are built straight into a recycled slot table addressed by
- * the entry, so insertion shuffles PODs, never closures.  The slots
- * live in fixed-size chunks that never move, so firing invokes each
+ * back -- firing is a pop_back, and insertion scans from the back,
+ * shifting each entry that fires before the new one a place toward the
+ * back, since almost every event is scheduled within a few cycles of
+ * now: an insertion passes 2-3 entries on average.  Each entry packs
+ * (tick, priority, sequence) into one 128-bit key, so a scan step is a
+ * single compare.  The list holds a few to a few dozen entries (about
+ * 71 on average with 64 IMIX flows each way), so an ordered array
+ * beats a binary heap's sift traffic.  Callbacks are built straight
+ * into a recycled slot table addressed by the entry, so insertion
+ * shuffles PODs, never closures.  The table is a std::deque, whose
+ * emplace_back never moves an existing slot, so firing invokes each
  * callback where schedule() built it and then resets the slot: a
  * callback is never moved at all.  EventIds carry the slot's generation
  * counter, making cancellation an O(1) tag compare with no hash set.
@@ -29,7 +30,7 @@
 #define TENGIG_SIM_EVENT_QUEUE_HH
 
 #include <cstdint>
-#include <memory>
+#include <deque>
 #include <utility>
 #include <vector>
 
@@ -78,13 +79,6 @@ class EventQueue
      * completions), so steady-state scheduling never allocates.
      */
     using Callback = SmallFn<void(), 64>;
-
-    /**
-     * Slots per chunk of the slot table.  The table grows a chunk at a
-     * time and a chunk never moves, so a callback runs in place even
-     * when the events it schedules grow the table.
-     */
-    static constexpr std::size_t slotsPerChunk = 64;
 
     EventQueue() = default;
     EventQueue(const EventQueue &) = delete;
@@ -168,9 +162,9 @@ class EventQueue
     struct Slot
     {
         Callback fn;
+        Slot *nextFree = nullptr;     //!< free-list link
         std::uint32_t index = 0;      //!< place in the table
         std::uint32_t generation = 0;
-        std::uint32_t nextFree = 0;   //!< free-list link: index + 1, 0 ends
         bool alive = false;
     };
 
@@ -198,29 +192,22 @@ class EventQueue
         return (Key{a.when} << 64 | a.order) > (Key{b.when} << 64 | b.order);
     }
 
-    Slot &
-    slotAt(std::uint32_t idx)
-    {
-        return chunks[idx / slotsPerChunk][idx % slotsPerChunk];
-    }
-
     Slot &acquireSlot();
     /** Put @p s on the free list; never allocates. */
     void
     releaseSlot(Slot &s)
     {
         s.nextFree = freeHead;
-        freeHead = s.index + 1;
+        freeHead = &s;
     }
     /** Mark @p s live and insert its pending entry. */
     EventId enqueue(Tick when, EventPriority prio, Slot &s);
 
     /** Sorted latest-first: the soonest-firing entry is at the back. */
     std::vector<PendingEntry> pending;
-    /** The slot table, slotsPerChunk slots per chunk. */
-    std::vector<std::unique_ptr<Slot[]>> chunks;
-    std::uint32_t slotCount = 0;
-    std::uint32_t freeHead = 0; //!< first free slot's index + 1, 0: none
+    /** The slot table: emplace_back never moves an existing slot. */
+    std::deque<Slot> slots;
+    Slot *freeHead = nullptr; //!< first free slot, null: none
     std::size_t liveCount = 0;
     Tick _curTick = 0;
     std::uint64_t nextSeq = 1;

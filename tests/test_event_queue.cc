@@ -149,11 +149,11 @@ TEST(EventQueue, EventsCanScheduleEvents)
     EXPECT_EQ(depth, 5);
     EXPECT_EQ(eq.curTick(), 40u);
 
-    // A callback runs in its slot.  This one schedules more events than
-    // a slot chunk holds, so the slot table grows while it runs, then
-    // reads and writes its own inline capture: if the slot had moved,
-    // that would be a use after free.
-    constexpr std::size_t burst = 3 * EventQueue::slotsPerChunk;
+    // A callback runs in its slot.  This one schedules enough events to
+    // grow the slot table many times over while it runs, then reads and
+    // writes its own inline capture: if the slot had moved, that would
+    // be a use after free.
+    constexpr std::size_t burst = 1000;
     std::size_t fired = 0;
     std::uint64_t sum = 0;
     eq.schedule(50, [&eq, &fired, &sum,
